@@ -23,9 +23,10 @@ from .diagram import (
     VERTICAL,
     VIRTUAL,
     TangleDiagram,
+    fold_basic,
 )
 from .laurent import LOOP_FACTOR, ONE, ZERO, LaurentPoly
-from .vector import INF
+from .vector import INF, TangleVector
 
 PAIRING_H = "H"
 PAIRING_V = "V"
@@ -260,6 +261,17 @@ def combine_triples(t: BracketTriple, s: BracketTriple, op: str) -> BracketTripl
         h = t.f * s.h + t.h * s.f
         return BracketTriple(f, g, h)
     raise ValueError(f"unknown combination {op!r}")
+
+
+def bracket_vector(vec: TangleVector) -> BracketTriple:
+    """Bracket of build_basic(vec), folded through the tangle algebra.
+
+    The same state sum as bracket(build_basic(vec)), factored along the
+    construction: each twist region contributes its closed form and each
+    sum or stack combines two triples, so the cost is linear in the vector
+    length instead of 2^N in the classical crossings.
+    """
+    return fold_basic(vec, bracket_elementary, combine_triples)
 
 
 TRIPLE_H = BracketTriple(ZERO, ONE, ZERO)  # trivial horizontal tangle

@@ -13,7 +13,7 @@ import io
 import json
 import sys
 
-from .bracket import bracket
+from .bracket import bracket, bracket_vector  # noqa: F401  (bracket stays importable here)
 from .conductance import (
     PATH_CLASSICAL,
     PATH_CLOSED,
@@ -27,7 +27,6 @@ from .conductance import (
     conductance_recursive,
     continued_fraction_C,
 )
-from .diagram import build_basic
 from .errors import TangleError, VectorRuleError, VectorSyntaxError
 from .vector import parse_vector
 from .verify import (
@@ -102,16 +101,11 @@ def cmd_bracket(args) -> int:
     vec, code = _parse_vector_arg(args.vector)
     if vec is None:
         return code
-    t = bracket(build_basic(vec))
-    _emit(
-        {"vector": str(vec), "f": str(t.f), "g": str(t.g), "h": str(t.h)},
-        args.out,
-    )
+    _emit({"vector": str(vec), **bracket_vector(vec).as_dict()}, args.out)
     return EXIT_OK
 
 
 _SINGLE_PATH = {
-    PATH_STATE_SUM: lambda v: conductance_from_bracket(bracket(build_basic(v))),
     PATH_RECURSION: conductance_recursive,
     PATH_FRACTION: continued_fraction_C,
     PATH_CLOSED: closed_form,
@@ -130,16 +124,20 @@ def cmd_conductance(args) -> int:
                 EXIT_COMPUTE,
             )
         try:
-            value = _SINGLE_PATH[args.path](vec)
+            if args.path == PATH_STATE_SUM:
+                t = bracket_vector(vec)
+                value = conductance_from_bracket(t)
+            else:
+                value = _SINGLE_PATH[args.path](vec)
         except TangleError as exc:
             return _fail({"vector": str(vec), "error": str(exc), "path": args.path}, EXIT_COMPUTE)
         doc = {"vector": str(vec), "C": str(value), "provenance": [args.path]}
         if args.path == PATH_STATE_SUM:
-            t = bracket(build_basic(vec))
-            doc["bracket"] = {"f": str(t.f), "g": str(t.g), "h": str(t.h)}
+            doc["bracket"] = t.as_dict()
         _emit(doc, args.out)
         return EXIT_OK
-    values, errors = conductance_paths(vec, include_state_sum=True)
+    t = bracket_vector(vec)
+    values, errors = conductance_paths(vec, include_state_sum=True, triple=t)
     ordered = [p for p in _PATH_CHOICES if p in values]
     distinct = {}
     for p in ordered:
@@ -165,13 +163,12 @@ def cmd_conductance(args) -> int:
                 "routes": ordered,
             }
         return _fail(doc, EXIT_COMPUTE)
-    t = bracket(build_basic(vec))
     _emit(
         {
             "vector": str(vec),
             "C": str(values[ordered[0]].value),
             "provenance": ordered,
-            "bracket": {"f": str(t.f), "g": str(t.g), "h": str(t.h)},
+            "bracket": t.as_dict(),
         },
         args.out,
     )

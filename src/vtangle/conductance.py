@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bracket import BracketTriple, bracket, combine_triples
+from .bracket import BracketTriple, bracket, bracket_vector, combine_triples
 from .cyclotomic import C_I, eval_at_zeta8
-from .diagram import HORIZONTAL, PLUS, STAR, TangleDiagram, build_basic, combine, elementary
+from .diagram import HORIZONTAL, PLUS, STAR, TangleDiagram, combine, elementary
 from .errors import (
     DivisorZeroError,
     IndeterminateError,
@@ -90,12 +90,15 @@ _VC_OF_INF = GaussRational(0, 1)
 
 
 def _prefix_track(entries):
-    """C_k for every prefix and D_k for the prefix with its last marker
-    flipped, computed left to right in one pass.
+    """C_k for every prefix, and D_k (the prefix with its last marker
+    flipped) for every prefix that a later entry extends, computed left to
+    right in one pass.  Only entry k+1 reads D_k, so the loop computes no D
+    for the last entry.
 
     D_k is None when its own divisor was degenerate; it is only an error if
     a later entry actually needs it (DivisorZeroError identifies the entry).
     """
+    last = len(entries) - 1
     a0, e0 = entries[0]
     if a0 is INF:
         cs = [INFINITY]
@@ -126,13 +129,12 @@ def _prefix_track(entries):
                 return _gr(a) + inner
             return (_gr(a) + inner.invert()).invert()
 
-        new_c = value(e)
-        try:
-            new_d = value(1 - e)
-        except DivisorZeroError:
-            new_d = None
-        cs.append(new_c)
-        ds.append(new_d)
+        cs.append(value(e))
+        if k < last:
+            try:
+                ds.append(value(1 - e))
+            except DivisorZeroError:
+                ds.append(None)
     return cs, ds
 
 
@@ -304,9 +306,13 @@ def ratio_identity(d: TangleDiagram):
     )
 
 
-def conductance_paths(vec: TangleVector, include_state_sum: bool = True):
+def conductance_paths(
+    vec: TangleVector, include_state_sum: bool = True, triple: BracketTriple | None = None
+):
     """Every available route for one vector.
 
+    The state-sum route evaluates the vector's bracket, folded through the
+    tangle algebra; a caller that already holds it passes it as triple.
     Returns (values, errors): values maps a provenance label to a
     ConductanceValue, errors maps a label to the TangleError it raised.
     """
@@ -322,7 +328,9 @@ def conductance_paths(vec: TangleVector, include_state_sum: bool = True):
             errors[label] = exc
 
     if include_state_sum:
-        attempt(PATH_STATE_SUM, lambda: conductance_from_bracket(bracket(build_basic(vec))))
+        if triple is None:
+            triple = bracket_vector(vec)
+        attempt(PATH_STATE_SUM, lambda: conductance_from_bracket(triple))
     attempt(PATH_RECURSION, lambda: conductance_recursive(vec))
     attempt(PATH_FRACTION, lambda: continued_fraction_C(vec))
     if len(vec.entries) <= 3:

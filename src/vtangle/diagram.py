@@ -206,8 +206,15 @@ def combine(t: TangleDiagram, s: TangleDiagram, op: str) -> TangleDiagram:
     )
 
 
-def build_basic(vec: TangleVector, strict: bool = True) -> TangleDiagram:
-    """Alternating sum/stack construction of the basic diagram of a vector."""
+def fold_basic(vec: TangleVector, leaf, join, strict: bool = True):
+    """Fold the alternating sum/stack construction of a vector.
+
+    leaf(a, e, axis) gives one twist region and join(t, s, op) glues two
+    pieces with PLUS or STAR.  The first entry is horizontal (inf is the
+    trivial vertical tangle), odd positions stack vertically, even positions
+    add horizontally, and an even length adds the trivial horizontal tangle
+    at the east end.
+    """
     vec = vec.normalized()
     if strict:
         vec.validate()
@@ -216,20 +223,25 @@ def build_basic(vec: TangleVector, strict: bool = True) -> TangleDiagram:
         raise VectorRuleError("a tangle vector needs at least one entry", 1)
     a0, e0 = entries[0]
     if a0 is INF:
-        d = elementary(0, 0, VERTICAL)
+        t = leaf(0, 0, VERTICAL)
     else:
-        d = elementary(a0, e0, HORIZONTAL)
+        t = leaf(a0, e0, HORIZONTAL)
     for i in range(1, len(entries)):
         a, e = entries[i]
         if a is INF:
             raise VectorRuleError("inf is allowed only as the first entry", i + 1)
         if i % 2 == 1:
-            d = combine(d, elementary(a, e, VERTICAL), STAR)
+            t = join(t, leaf(a, e, VERTICAL), STAR)
         else:
-            d = combine(d, elementary(a, e, HORIZONTAL), PLUS)
+            t = join(t, leaf(a, e, HORIZONTAL), PLUS)
     if len(entries) % 2 == 0:
-        d = combine(d, elementary(0, 0, HORIZONTAL), PLUS)
-    return d
+        t = join(t, leaf(0, 0, HORIZONTAL), PLUS)
+    return t
+
+
+def build_basic(vec: TangleVector, strict: bool = True) -> TangleDiagram:
+    """Alternating sum/stack construction of the basic diagram of a vector."""
+    return fold_basic(vec, elementary, combine, strict)
 
 
 def rotate_pi(t: TangleDiagram) -> TangleDiagram:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import VectorRuleError, VectorSyntaxError
 
-_INT_RE = re.compile(r"[+-]?\d+")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 class _Infinity:
@@ -113,7 +113,10 @@ def format_vector(v: TangleVector) -> str:
 
 
 def parse_vector(text: str) -> TangleVector:
-    """Parse the comma-separated grammar; offsets in errors index into text."""
+    """Parse the comma-separated grammar; offsets in errors index into text.
+
+    Whitespace may surround an entry but not split it, and digits are ASCII.
+    """
     if text.strip() == "":
         raise VectorSyntaxError("empty vector", 0)
     entries = []
@@ -125,14 +128,13 @@ def parse_vector(text: str) -> TangleVector:
         offset += len(raw) + 1
         if stripped == "":
             raise VectorSyntaxError("empty entry", start)
-        tok = "".join(stripped.split())
-        if tok == "inf":
+        if stripped == "inf":
             entries.append((INF, 0))
             continue
-        if tok == "infv":
+        if stripped == "infv":
             raise VectorRuleError("inf cannot carry a virtual marker", idx + 1)
         eps = 0
-        body = tok
+        body = stripped
         if body.endswith("v"):
             eps = 1
             body = body[:-1]

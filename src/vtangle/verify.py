@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import product
 
-from .bracket import bracket
+from .bracket import bracket, bracket_vector
 from .conductance import (
     PATH_CLASSICAL,
     PATH_CLOSED,
@@ -467,6 +467,7 @@ def enumerate_classify(env: Envelope, sink=None):
     """
     records = []
     bucket_of = {}
+    values = []
     members = []
     real_virtual = []
     degenerate = []
@@ -479,7 +480,7 @@ def enumerate_classify(env: Envelope, sink=None):
             provenance = PATH_RECURSION
         except TangleError as exc:
             try:
-                value = conductance_from_bracket(bracket(build_basic(v)))
+                value = conductance_from_bracket(bracket_vector(v))
                 provenance = PATH_STATE_SUM
                 degenerate.append(
                     {
@@ -496,6 +497,7 @@ def enumerate_classify(env: Envelope, sink=None):
                 continue
         if value not in bucket_of:
             bucket_of[value] = len(members)
+            values.append(value)
             members.append([])
         bid = bucket_of[value]
         members[bid].append(v)
@@ -503,8 +505,7 @@ def enumerate_classify(env: Envelope, sink=None):
         records.append(rec)
         if sink is not None:
             sink(rec)
-    for bid, vs in enumerate(members):
-        value = next(val for val, b in bucket_of.items() if b == bid)
+    for value, vs in zip(values, members):
         for v in vs:
             if not v.classical and value.is_real:
                 entry = {"vector": str(v), "conductance": str(value)}
@@ -532,13 +533,8 @@ def enumerate_classify(env: Envelope, sink=None):
                         )
                 real_virtual.append(entry)
     collisions = [
-        {
-            "conductance": str(
-                next(val for val, b in bucket_of.items() if b == bid)
-            ),
-            "vectors": [str(v) for v in vs],
-        }
-        for bid, vs in enumerate(members)
+        {"conductance": str(value), "vectors": [str(v) for v in vs]}
+        for value, vs in zip(values, members)
         if len(vs) > 1
     ]
     collisions.sort(key=lambda c: c["conductance"])

@@ -14,6 +14,7 @@ from vtangle.bracket import (
     BracketTriple,
     bracket,
     bracket_elementary,
+    bracket_vector,
     combine_triples,
     resolve_state,
 )
@@ -26,8 +27,9 @@ from vtangle.diagram import (
     combine,
     elementary,
 )
+from vtangle.errors import VectorRuleError
 from vtangle.laurent import A, A_INV, ONE, ZERO, LaurentPoly
-from vtangle.vector import parse_vector
+from vtangle.vector import INF, TangleVector, parse_vector
 
 
 def _tup(t):
@@ -154,9 +156,6 @@ entries = st.tuples(st.integers(min_value=-2, max_value=2), st.integers(0, 1))
 @settings(max_examples=40, deadline=None)
 @given(st.lists(entries, min_size=1, max_size=2), st.sampled_from((PLUS, STAR)))
 def test_combine_is_bracket_homomorphism(es, op):
-    from vtangle.errors import VectorRuleError
-    from vtangle.vector import TangleVector
-
     v = TangleVector(tuple(es))
     try:
         v.validate()
@@ -167,3 +166,27 @@ def test_combine_is_bracket_homomorphism(es, op):
     want = bracket(combine(d, probe, op))
     got = combine_triples(bracket(d), bracket(probe), op)
     assert _tup(got) == _tup(want)
+
+
+def test_bracket_vector_golden():
+    for text in ("3,3,3", "2v,-3,1v,4", "0v,2,3v", "inf", "inf,2v,-1", "0"):
+        v = parse_vector(text)
+        assert _tup(bracket_vector(v)) == _tup(bracket(build_basic(v))), text
+
+
+fold_entries = st.tuples(st.integers(min_value=-4, max_value=4), st.integers(0, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), st.lists(fold_entries, min_size=1, max_size=6))
+def test_bracket_vector_equals_state_sum(inf_first, es):
+    # covers inf first, both length parities, markers and negative entries
+    v = TangleVector((((INF, 0),) if inf_first else ()) + tuple(es))
+    try:
+        v.validate()
+    except VectorRuleError:
+        return
+    d = build_basic(v)
+    if d.n_classical > 14:
+        return
+    assert _tup(bracket_vector(v)) == _tup(bracket(d))

@@ -1,9 +1,16 @@
 """CLI contract: documents, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import vtangle.cli
+import vtangle.conductance
 from vtangle.cli import (
     EXIT_COMPUTE,
     EXIT_OK,
@@ -152,3 +159,45 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["transmogrify"])
     assert exc.value.code == 2
+
+
+def test_python_m_vtangle_matches_main(capsys):
+    code, out, _ = run_cli(capsys, "bracket", "2,3")
+    src = str(Path(vtangle.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vtangle", "bracket", "2,3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (code, out)
+
+
+@pytest.mark.parametrize("argv", [("bracket", "200"), ("conductance", "12,12")])
+def test_large_vectors_answer_quickly(capsys, argv):
+    # the vector bracket is folded, not summed over 2^N states
+    t0 = time.monotonic()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["vector"] == argv[1]
+    assert time.monotonic() - t0 < 2.0
+
+
+def test_conductance_computes_the_bracket_once(capsys, monkeypatch):
+    calls = []
+    real = vtangle.cli.bracket_vector
+
+    def counting(vec):
+        calls.append(str(vec))
+        return real(vec)
+
+    monkeypatch.setattr(vtangle.cli, "bracket_vector", counting)
+    monkeypatch.setattr(vtangle.conductance, "bracket_vector", counting)
+    for path in ((), ("--path", "state-sum")):
+        calls.clear()
+        code, _, _ = run_cli(capsys, "conductance", "2,3,1v", *path)
+        assert code == EXIT_OK
+        assert calls == ["2,3,1v"], path

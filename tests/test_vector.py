@@ -32,6 +32,19 @@ def test_parse_syntax_errors_carry_offsets():
         parse_vector("INF")
 
 
+def test_parse_rejects_split_entries_and_non_ascii_digits():
+    # whitespace may surround an entry but not split it
+    with pytest.raises(VectorSyntaxError) as exc:
+        parse_vector("1, 2 3")
+    assert exc.value.offset == 3
+    with pytest.raises(VectorSyntaxError) as exc:
+        parse_vector("2 3")
+    assert exc.value.offset == 0
+    with pytest.raises(VectorSyntaxError) as exc:
+        parse_vector("2,\u0663")  # ARABIC-INDIC DIGIT THREE
+    assert exc.value.offset == 2
+
+
 def test_parse_rule_errors_carry_positions():
     with pytest.raises(VectorRuleError) as exc:
         parse_vector("1,0,2")  # interior 0 without marker
