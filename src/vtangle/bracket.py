@@ -12,9 +12,11 @@ closed state loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .diagram import (
     BOUNDARY,
+    COMPASS,
     HORIZONTAL,
     NE,
     NW,
@@ -55,6 +57,12 @@ class StateResolution:
     pairing: str
     loops: int
     weight: LaurentPoly
+
+
+@lru_cache(maxsize=None)
+def _loop_power(k: int) -> LaurentPoly:
+    """LOOP_FACTOR ** k: the weight of k closed loops, computed once per k."""
+    return LOOP_FACTOR ** k
 
 
 class _Compiled:
@@ -174,24 +182,11 @@ def bracket(d: TangleDiagram) -> BracketTriple:
     comp = _Compiled(d)
     ncl = len(comp.classical)
     acc = {PAIRING_H: {}, PAIRING_V: {}, PAIRING_X: {}}
-    loop_pows = [{0: 1}]
     for bits in range(1 << ncl):
         pairing, loops = comp.resolve(bits)
-        while len(loop_pows) <= loops:
-            prev = loop_pows[-1]
-            nxt = {}
-            for e, c in prev.items():
-                for de, dc in ((2, -1), (-2, -1)):
-                    k = e + de
-                    v = nxt.get(k, 0) + c * dc
-                    if v:
-                        nxt[k] = v
-                    else:
-                        del nxt[k]
-            loop_pows.append(nxt)
         w = ncl - 2 * bits.bit_count()
         dest = acc[pairing]
-        for e, c in loop_pows[loops].items():
+        for e, c in _loop_power(loops).items():
             k = e + w
             v = dest.get(k, 0) + c
             if v:
@@ -202,6 +197,233 @@ def bracket(d: TangleDiagram) -> BracketTriple:
         LaurentPoly(acc[PAIRING_V]),
         LaurentPoly(acc[PAIRING_H]),
         LaurentPoly(acc[PAIRING_X]),
+    )
+
+
+# Slot pairings of a node.  A +1 crossing's A-smoothing joins NW-NE and
+# SW-SE (_JOIN_NS), its B-smoothing NW-SW and NE-SE (_JOIN_EW); a -1 crossing
+# swaps the two.  A virtual crossing's two strands run NW-SE and NE-SW
+# (_THROUGH).
+_JOIN_NS = (NE, NW, SW, SE)
+_JOIN_EW = (SW, SE, NE, NW)
+_THROUGH = ((NW, SE), (NE, SW))
+# bracket_contract pays every classical node's A^-1 up front, so the A- and
+# B-smoothing weigh A^2 and 1 (exponent shifts 2 and 0), in that order.
+_SMOOTHINGS = {
+    1: ((_JOIN_NS, 2), (_JOIN_EW, 0)),
+    -1: ((_JOIN_EW, 2), (_JOIN_NS, 0)),
+}
+
+
+@lru_cache(maxsize=None)
+def _transitions(shape: tuple, sign: int) -> tuple:
+    """How contracting one classical node re-pairs its strands.
+
+    shape[s] == s when slot s of the node leads out of it (into the
+    contracted part or to a node not yet contracted), and is the slot t
+    when slot s leads straight back into slot t of the same node.  For the
+    A- and then the B-smoothing, returns (pairs, closed, shift): the pairs
+    of outward slots the smoothing joins, the loops it closes, and the
+    exponent shift from _SMOOTHINGS.  There are 10 shapes: each slot leads
+    out or to one other slot, which leads back to it.
+    """
+    out = []
+    for join, shift in _SMOOTHINGS[sign]:
+        seen = [False] * 4
+        pairs = []
+        for s in COMPASS:
+            if shape[s] != s or seen[s]:
+                continue
+            seen[s] = True
+            t = join[s]
+            seen[t] = True
+            while shape[t] != t:
+                u = shape[t]
+                seen[u] = True
+                t = join[u]
+                seen[t] = True
+            pairs.append((s, t))
+        closed = 0
+        for s in COMPASS:
+            if seen[s]:
+                continue
+            closed += 1
+            t = s
+            while not seen[t]:
+                seen[t] = True
+                u = join[t]
+                seen[u] = True
+                t = shape[u]
+        out.append((tuple(pairs), closed, shift))
+    return tuple(out)
+
+
+_LEADS_OUT = (NW, NE, SE, SW)  # the shape of a node whose slots all lead out
+
+
+def bracket_contract(d: TangleDiagram) -> BracketTriple:
+    """The state sum of bracket(d), contracted one node at a time.
+
+    Ports are numbered 4*node + slot and the boundary endpoints 4*n_nodes +
+    compass, so label >> 2 is the owning node (n_nodes for the boundary).
+    Virtual crossings are fixed re-pairings, so they are first spliced out
+    of the arcs: link[p] is where the strand leaving port p first meets a
+    classical port or the boundary, and strands that close through virtual
+    crossings alone are loops.
+
+    The frontier holds the four boundary endpoints and every open port: a
+    port of a classical node not yet contracted whose link leads into the
+    contracted part.  Each frontier member keeps one place; a state is the
+    tuple that gives, for each place, the place its strand reaches through
+    the contracted part (-1 for an empty place), and it carries a Laurent
+    coefficient dict.  Contracting a node splits every state into the
+    node's A- and B-smoothing and multiplies in the loops that close, so
+    the cost grows with the number of distinct frontier pairings, not with
+    2^N.  Nodes are taken greedily: the one with the most ports already
+    reached from the boundary or the contracted part, ties to the lower
+    index.
+    """
+    signs = d.signs
+    nn = len(signs)
+    bb = 4 * nn
+    # built here, not by _Compiled, so the oracle shares no code with this
+    link = [0] * (bb + 4)
+    for a, b in d.arcs:
+        pa = bb + a[1] if a[0] == BOUNDARY else 4 * a[0] + a[1]
+        pb = bb + b[1] if b[0] == BOUNDARY else 4 * b[0] + b[1]
+        link[pa] = pb
+        link[pb] = pa
+    loops = d.free_loops
+    if VIRTUAL in signs:
+        # splice each virtual crossing's two through-strands out of the arcs
+        for j, s in enumerate(signs):
+            if s != VIRTUAL:
+                continue
+            for a, b in _THROUGH:
+                x = link[4 * j + a]
+                if x == 4 * j + b:
+                    loops += 1
+                    continue
+                y = link[4 * j + b]
+                link[x] = y
+                link[y] = x
+    # 1 + ports reached so far for a classical node not yet contracted; 0
+    # once contracted, for a virtual node, which is never contracted, and
+    # for the boundary (index n_nodes)
+    prio = [*map(abs, signs), 0]
+    # Places 0-3 of the frontier hold the four endpoints in compass order;
+    # the ports they lead to come next.  pos maps an open port to its place.
+    start = [0, 0, 0, 0]
+    pos = {}
+    width = 4
+    for c, p in enumerate(link[bb:]):
+        if p < bb:
+            pos[p] = start[c] = width
+            start.append(c)
+            width += 1
+            prio[p >> 2] += 1
+        else:
+            start[c] = p - bb
+    free = []  # places of closed ports, -1 in every state, reused first
+    ncl = nn - signs.count(VIRTUAL)
+    first = {-ncl: 1}
+    if loops:
+        first = {e - ncl: c for e, c in _loop_power(loops).items()}
+    # After the last node only NW's mate matters, so the last states are
+    # keyed by it alone: NE, SE or SW names the picture.
+    states = {tuple(start) if ncl else start[NW]: first}
+    for step in range(ncl):
+        last = step == ncl - 1
+        n = prio.index(max(prio))
+        prio[n] = 0
+        base = 4 * n
+        # shape0: per slot, the slot it leads back to (itself when it leads
+        # out); out: per outward slot, the place its strand continues at
+        # (fixed for a fresh port, set per state for an open one)
+        shape0 = _LEADS_OUT
+        out = [-1, -1, -1, -1]
+        own = {}  # place -> slot, for the ports of n on the frontier
+        fresh = []
+        for s, r in enumerate(link[base:base + 4]):
+            if r >> 2 == n:
+                shape0 = shape0[:s] + (r & 3,) + shape0[s + 1:]
+            elif not prio[r >> 2]:  # r is contracted or an endpoint
+                own[pos.pop(base + s)] = s
+            else:
+                fresh.append((s, r))
+                prio[r >> 2] += 1
+        free += own
+        grown = width
+        for s, r in fresh:
+            if free:
+                out[s] = pos[r] = free.pop()
+            else:
+                out[s] = pos[r] = width
+                width += 1
+        pad = [-1] * (width - grown)
+        sign = signs[n]
+        acc = {}
+        for m, coeff in states.items():
+            shape = shape0
+            for i, s in own.items():
+                r = m[i]
+                t = own.get(r)
+                if t is None:
+                    out[s] = r
+                else:
+                    # the strand comes back to this node at slot t
+                    shape = shape[:s] + (t,) + shape[s + 1:]
+            if not last:
+                cut = list(m)
+                for i in own:
+                    cut[i] = -1
+                cut += pad
+            for pairs, closed, w in _transitions(shape, sign):
+                if last:
+                    key = m[NW]
+                    for a, b in pairs:
+                        if out[a] == NW:
+                            key = out[b]
+                        elif out[b] == NW:
+                            key = out[a]
+                else:
+                    mate = cut.copy()
+                    for a, b in pairs:
+                        x = out[a]
+                        y = out[b]
+                        mate[x] = y
+                        mate[y] = x
+                    key = tuple(mate)
+                if closed:
+                    val = {}
+                    for le, lc in _loop_power(closed).items():
+                        for e, c in coeff.items():
+                            k = e + le + w
+                            v = val.get(k, 0) + c * lc
+                            if v:
+                                val[k] = v
+                            else:
+                                del val[k]
+                elif w:
+                    val = {}
+                    for e, c in coeff.items():
+                        val[e + w] = c
+                else:
+                    # the B-smoothing comes last and keeps the exponents, so
+                    # it takes over coeff, which no other state holds
+                    val = coeff
+                dest = acc.setdefault(key, val)
+                if dest is not val:
+                    for e, c in val.items():
+                        v = dest.get(e, 0) + c
+                        if v:
+                            dest[e] = v
+                        else:
+                            del dest[e]
+        states = acc
+    by_mate = {NE: None, SE: None, SW: None, **states}
+    return BracketTriple(
+        LaurentPoly(by_mate[SW]), LaurentPoly(by_mate[NE]), LaurentPoly(by_mate[SE])
     )
 
 

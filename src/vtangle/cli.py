@@ -1,8 +1,9 @@
 """Command-line front end: parse tangle text, run computations and suites,
 emit JSON or CSV documents.
 
-Exit codes: 0 success, 2 parse error, 3 computation error or finding,
-4 verification failure (routes disagree or an identity check fails).
+Exit codes: 0 success, 2 parse error or an input the command does not take
+(a marked vector for the classical fraction), 3 computation error or
+finding, 4 verification failure (routes disagree or an identity check fails).
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def cmd_conductance(args) -> int:
         if args.path == PATH_CLASSICAL and not vec.classical:
             return _fail(
                 {"vector": str(vec), "error": "classical-fraction needs a marker-free vector"},
-                EXIT_COMPUTE,
+                EXIT_PARSE,
             )
         try:
             if args.path == PATH_STATE_SUM:
@@ -314,8 +315,34 @@ _HANDLERS = {
 }
 
 
+_VECTOR_COMMANDS = ("bracket", "conductance", "fraction")
+_DIGITS = "0123456789"
+
+
+def _vectors_after_dashes(argv: list) -> list:
+    """Move a vector such as -2,3 behind "--" so argparse reads it as the
+    positional argument, not as an unknown option.  A token right after a
+    --option is that option's value and stays; an argv that already has
+    "--" is left as it is."""
+    if not argv or argv[0] not in _VECTOR_COMMANDS or "--" in argv:
+        return argv
+    moved = [
+        i
+        for i in range(1, len(argv))
+        if len(argv[i]) > 1
+        and argv[i][0] == "-"
+        and argv[i][1] in _DIGITS
+        and not (argv[i - 1].startswith("--") and "=" not in argv[i - 1])
+    ]
+    if not moved:
+        return argv
+    rest = [a for i, a in enumerate(argv) if i not in moved]
+    return rest + ["--"] + [argv[i] for i in moved]
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_vectors_after_dashes(argv))
     try:
         return _HANDLERS[args.command](args)
     except TangleError as exc:

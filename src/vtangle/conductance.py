@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bracket import BracketTriple, bracket, bracket_vector, combine_triples
+from .bracket import BracketTriple, bracket_contract, bracket_vector, combine_triples
 from .cyclotomic import C_I, eval_at_zeta8
 from .diagram import HORIZONTAL, PLUS, STAR, TangleDiagram, combine, elementary
 from .errors import (
@@ -296,9 +296,9 @@ def ratio_identity(d: TangleDiagram):
     """(C(T), C(T'), C(T'')) where T' and T'' append a virtual crossing to
     the east and to the south; projectively C(T) = -i * C(T') * C(T'')."""
     vc = elementary(0, 1, HORIZONTAL)
-    t = bracket(d)
-    t_east = bracket(combine(d, vc, PLUS))
-    t_south = bracket(combine(d, vc, STAR))
+    t = bracket_contract(d)
+    t_east = bracket_contract(combine(d, vc, PLUS))
+    t_south = bracket_contract(combine(d, vc, STAR))
     return (
         conductance_from_bracket(t),
         conductance_from_bracket(t_east),

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import product
 
-from .bracket import bracket, bracket_vector
+from .bracket import bracket_contract, bracket_vector
 from .conductance import (
     PATH_CLASSICAL,
     PATH_CLOSED,
@@ -259,11 +259,11 @@ def run_invariance_suite(samples=None, seed: int = 0, count: int = 100,
     reports = []
     for i, d in enumerate(samples):
         inst = f"diagram[{i}]: {d.n_nodes} nodes, {d.n_classical} classical"
-        base = bracket(d)
+        base = bracket_contract(d)
         for kind in FLYPE_KINDS:
             sign = 1 if i % 2 == 0 else -1
             d1, d2 = flype_pair(d, kind, sign=sign if kind != "virtual" else 1)
-            b1, b2 = bracket(d1), bracket(d2)
+            b1, b2 = bracket_contract(d1), bracket_contract(d2)
             ok = _triple_eq(b1, b2)
             reports.append(
                 CheckReport(
@@ -274,13 +274,12 @@ def run_invariance_suite(samples=None, seed: int = 0, count: int = 100,
                     str(b2.as_dict()),
                 )
             )
-        kinked_pos = None
+        kink_pos_triple = None
         for sign, label in ((1, "pos"), (-1, "neg")):
             endpoint = COMPASS[(i + (0 if sign == 1 else 2)) % 4]
-            kinked = insert_kink(d, endpoint, sign)
+            got = bracket_contract(insert_kink(d, endpoint, sign))
             if sign == 1:
-                kinked_pos = kinked
-            got = bracket(kinked)
+                kink_pos_triple = got
             want = base.scaled(_KINK_FACTOR[sign])
             ok = _triple_eq(got, want)
             reports.append(
@@ -294,7 +293,7 @@ def run_invariance_suite(samples=None, seed: int = 0, count: int = 100,
             )
         if d.classical_indices:
             idx = d.classical_indices[i % len(d.classical_indices)]
-            got = bracket(virtualize_crossing(d, idx))
+            got = bracket_contract(virtualize_crossing(d, idx))
             ok = _triple_eq(got, base)
             reports.append(
                 CheckReport(
@@ -308,7 +307,7 @@ def run_invariance_suite(samples=None, seed: int = 0, count: int = 100,
             )
         try:
             c_base = conductance_from_bracket(base)
-            c_kinked = conductance_from_bracket(bracket(kinked_pos))
+            c_kinked = conductance_from_bracket(kink_pos_triple)
             ok = c_base == c_kinked
             reports.append(
                 CheckReport(
@@ -337,8 +336,8 @@ def _negative_control() -> CheckReport:
     from .diagram import elementary
 
     d = elementary(1, 0)
-    base = bracket(d)
-    kinked = bracket(insert_kink(d, COMPASS[0], 1))
+    base = bracket_contract(d)
+    kinked = bracket_contract(insert_kink(d, COMPASS[0], 1))
     corrupted = base.scaled(_KINK_FACTOR[-1])  # deliberately the wrong factor
     if _triple_eq(kinked, corrupted):
         return CheckReport(
@@ -375,8 +374,8 @@ def run_additivity_suite(seed: int = 0, count: int = 100):
             vs.validate()
         except TangleError:
             continue
-        t = bracket(build_basic(vt))
-        s = bracket(build_basic(vs))
+        t = bracket_vector(vt)
+        s = bracket_vector(vs)
         inst = f"{vt} (+) {vs}"
         try:
             lhs, rhs, corr = additivity_identity(t, s, "plus")

@@ -201,3 +201,46 @@ def test_conductance_computes_the_bracket_once(capsys, monkeypatch):
         code, _, _ = run_cli(capsys, "conductance", "2,3,1v", *path)
         assert code == EXIT_OK
         assert calls == ["2,3,1v"], path
+
+
+def test_classical_fraction_path_needs_marker_free_vector(capsys):
+    # the same condition as `fraction 2,1v` (test_fraction_document), same code
+    code, out, err = run_cli(capsys, "conductance", "1v", "--path", "classical-fraction")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert json.loads(err) == {
+        "vector": "1v",
+        "error": "classical-fraction needs a marker-free vector",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bracket", "-2,3"),
+        ("bracket", "-2,-3v"),
+        ("conductance", "-2,3v"),
+        ("conductance", "-2,3", "--path", "recursion"),
+        ("conductance", "--path", "recursion", "-2,3"),
+        ("fraction", "-2,3"),
+    ],
+)
+def test_vector_with_leading_negative_entry(capsys, argv):
+    spelled = run_cli(capsys, *argv)
+    vector = next(a for a in argv[1:] if a[0] == "-" and a[1].isdigit())
+    rest = [a for a in argv[1:] if a != vector]
+    dashed = run_cli(capsys, argv[0], *rest, "--", vector)
+    assert spelled == dashed
+    assert spelled[0] == EXIT_OK
+    assert json.loads(spelled[1])["vector"] == vector
+
+
+def test_leading_negative_entry_keeps_options(capsys, tmp_path):
+    target = tmp_path / "b.json"
+    code, out, _ = run_cli(capsys, "bracket", "-2,3", "--out", str(target))
+    assert (code, out) == (EXIT_OK, "")
+    assert json.loads(target.read_text())["vector"] == "-2,3"
+    with pytest.raises(SystemExit) as exc:
+        main(["bracket", "-2,3", "-h"])
+    assert exc.value.code == 0
+    assert "usage: vtangle bracket" in capsys.readouterr().out
