@@ -176,6 +176,10 @@ def resolve_state(d: TangleDiagram, choices) -> StateResolution:
 def bracket(d: TangleDiagram) -> BracketTriple:
     """Exhaustive state sum over all 2^N smoothings of classical crossings.
 
+    This is the oracle the faster engines are tested against; its time
+    doubles with every classical crossing and it has no cap, so large
+    diagrams should use bracket_contract (vectors: bracket_vector).
+
     The per-state contributions commute, so any enumeration order gives the
     same triple; this one runs the choice vectors in numeric order.
     """

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -239,12 +240,7 @@ def _csv_records(records) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["vector", "C-real", "C-imag", "is-real", "bucket-id"])
     for r in records:
-        if r.conductance.is_infinite:
-            re_s = im_s = "inf"
-        else:
-            re, im = r.conductance.re, r.conductance.im
-            re_s = f"{re.numerator}/{re.denominator}"
-            im_s = f"{im.numerator}/{im.denominator}"
+        re_s, im_s = r.conductance.parts_text()
         w.writerow([r.vector, re_s, im_s, "true" if r.is_real else "false", r.bucket_id])
     return buf.getvalue()
 
@@ -306,6 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process: parsing leaves no state
+    in it, and argparse objects form reference cycles that would otherwise
+    wait for the cyclic collector after every call."""
+    return build_parser()
+
+
 _HANDLERS = {
     "bracket": cmd_bracket,
     "conductance": cmd_conductance,
@@ -342,7 +346,7 @@ def _vectors_after_dashes(argv: list) -> list:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_vectors_after_dashes(argv))
+    args = _parser().parse_args(_vectors_after_dashes(argv))
     try:
         return _HANDLERS[args.command](args)
     except TangleError as exc:

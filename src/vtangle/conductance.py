@@ -10,7 +10,6 @@ consistency anchor for marker-free vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bracket import BracketTriple, bracket_contract, bracket_vector, combine_triples
 from .cyclotomic import C_I, eval_at_zeta8
@@ -199,7 +198,7 @@ def _ratio(num_re, num_im, den) -> GaussRational:
         if num_re == 0 and num_im == 0:
             raise IndeterminateError("closed form evaluates to 0/0")
         return INFINITY
-    return GaussRational(Fraction(num_re, den), Fraction(num_im, den))
+    return GaussRational.from_ints(num_re, num_im, den)
 
 
 def _closed_two(a, e1, b, e2) -> GaussRational:

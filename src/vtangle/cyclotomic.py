@@ -1,58 +1,64 @@
 """Exact arithmetic in Q(zeta_8), where the bracket is evaluated at A = zeta_8.
 
-zeta_8 is a primitive 8th root of unity: zeta^4 = -1, zeta^2 = i.  Elements are
-stored on the basis (1, zeta, zeta^2, zeta^3) with Fraction coordinates.
+zeta_8 is a primitive 8th root of unity: zeta^4 = -1, zeta^2 = i.  An element
+(n0 + n1*zeta + n2*zeta^2 + n3*zeta^3)/d is stored as the five integers
+(n0, n1, n2, n3, d), kept canonical: gcd(n0, n1, n2, n3, d) == 1 and d > 0.
+The Fraction coordinates c0..c3 are built only on request.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from .errors import NotGaussianError
-from .gaussian import GaussRational
+from .errors import InvariantError, NotGaussianError
+from .gaussian import GaussRational, _over_one_denominator, _raw as _gauss_raw
 from .laurent import LaurentPoly
 
 
 class Cyc8:
     """An element c0 + c1*zeta + c2*zeta^2 + c3*zeta^3 of Q(zeta_8)."""
 
-    __slots__ = ("c0", "c1", "c2", "c3")
+    __slots__ = ("_v",)
 
     def __init__(self, c0=0, c1=0, c2=0, c3=0):
-        object.__setattr__(self, "c0", Fraction(c0))
-        object.__setattr__(self, "c1", Fraction(c1))
-        object.__setattr__(self, "c2", Fraction(c2))
-        object.__setattr__(self, "c3", Fraction(c3))
+        _SET(self, _over_one_denominator((c0, c1, c2, c3)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyc8 is immutable")
+
+    c0 = property(lambda self: Fraction(self._v[0], self._v[4]))
+    c1 = property(lambda self: Fraction(self._v[1], self._v[4]))
+    c2 = property(lambda self: Fraction(self._v[2], self._v[4]))
+    c3 = property(lambda self: Fraction(self._v[3], self._v[4]))
 
     def coords(self) -> tuple:
         return (self.c0, self.c1, self.c2, self.c3)
 
     def is_zero(self) -> bool:
-        return not (self.c0 or self.c1 or self.c2 or self.c3)
+        n0, n1, n2, n3, _ = self._v
+        return not (n0 or n1 or n2 or n3)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cyc8):
             return NotImplemented
-        return self.coords() == other.coords()
+        return self._v == other._v
 
     def __hash__(self) -> int:
-        return hash(self.coords())
+        return hash(self._v)
 
     def __add__(self, other: "Cyc8") -> "Cyc8":
         if not isinstance(other, Cyc8):
             return NotImplemented
-        return Cyc8(
-            self.c0 + other.c0,
-            self.c1 + other.c1,
-            self.c2 + other.c2,
-            self.c3 + other.c3,
+        a0, a1, a2, a3, ad = self._v
+        b0, b1, b2, b3, bd = other._v
+        return _canon(
+            a0 * bd + b0 * ad, a1 * bd + b1 * ad, a2 * bd + b2 * ad, a3 * bd + b3 * ad, ad * bd
         )
 
     def __neg__(self) -> "Cyc8":
-        return Cyc8(-self.c0, -self.c1, -self.c2, -self.c3)
+        n0, n1, n2, n3, d = self._v
+        return _raw(-n0, -n1, -n2, -n3, d)
 
     def __sub__(self, other: "Cyc8") -> "Cyc8":
         if not isinstance(other, Cyc8):
@@ -62,21 +68,16 @@ class Cyc8:
     def __mul__(self, other: "Cyc8") -> "Cyc8":
         if not isinstance(other, Cyc8):
             return NotImplemented
-        a = self.coords()
-        b = other.coords()
-        out = [Fraction(0)] * 4
-        for i in range(4):
-            if not a[i]:
-                continue
-            for j in range(4):
-                if not b[j]:
-                    continue
-                e = i + j
-                if e < 4:
-                    out[e] += a[i] * b[j]
-                else:
-                    out[e - 4] -= a[i] * b[j]  # zeta^4 = -1
-        return Cyc8(*out)
+        a0, a1, a2, a3, ad = self._v
+        b0, b1, b2, b3, bd = other._v
+        # Schoolbook product; zeta^(4+k) = -zeta^k.
+        return _canon(
+            a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+            a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+            a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+            ad * bd,
+        )
 
     def __pow__(self, n: int) -> "Cyc8":
         if not isinstance(n, int):
@@ -94,26 +95,36 @@ class Cyc8:
 
     def galois(self, k: int) -> "Cyc8":
         """Apply the automorphism zeta -> zeta^k for odd k in {1,3,5,7}."""
-        c0, c1, c2, c3 = self.coords()
+        n0, n1, n2, n3, d = self._v
         if k == 1:
             return self
         if k == 3:
-            return Cyc8(c0, c3, -c2, c1)
+            return _raw(n0, n3, -n2, n1, d)
         if k == 5:
-            return Cyc8(c0, -c1, c2, -c3)
+            return _raw(n0, -n1, n2, -n3, d)
         if k == 7:
-            return Cyc8(c0, -c3, -c2, -c1)
+            return _raw(n0, -n3, -n2, -n1, d)
         raise ValueError("Galois automorphisms of Q(zeta_8) need odd k in 1..7")
 
     def invert(self) -> "Cyc8":
+        """1/x by the Galois norm, down the tower Q(zeta_8) > Q(i) > Q:
+        p = x * galois(x, 5) lies in Q(i), so 1/x = galois(x, 5) * conj(p) / |p|^2.
+        InvariantError if p leaves Q(i), which exact arithmetic rules out."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta_8)")
-        conj = self.galois(3) * self.galois(5) * self.galois(7)
-        norm = self * conj
-        # The field norm is rational; the zeta coordinates must cancel.
-        assert not (norm.c1 or norm.c2 or norm.c3), "field norm must be rational"
-        n = norm.c0
-        return Cyc8(conj.c0 / n, conj.c1 / n, conj.c2 / n, conj.c3 / n)
+        n0, n1, n2, n3, d = self._v
+        conj = _raw(n0, -n1, n2, -n3, 1)
+        p0, p1, p2, p3, _ = (_raw(n0, n1, n2, n3, 1) * conj)._v
+        if p1 or p3:
+            raise InvariantError("field norm must be rational")
+        # conj * (p0 - p2*i) * d / (p0^2 + p2^2); i * zeta^k = zeta^(k+2).
+        return _canon(
+            d * (p0 * n0 + p2 * n2),
+            d * (-p0 * n1 - p2 * n3),
+            d * (p0 * n2 - p2 * n0),
+            d * (-p0 * n3 + p2 * n1),
+            p0 * p0 + p2 * p2,
+        )
 
     def __truediv__(self, other: "Cyc8") -> "Cyc8":
         if not isinstance(other, Cyc8):
@@ -122,9 +133,10 @@ class Cyc8:
 
     def to_gauss(self) -> GaussRational:
         """Reinterpret as an element of Q(i); loud error if zeta coordinates remain."""
-        if self.c1 or self.c3:
+        n0, n1, n2, n3, d = self._v
+        if n1 or n3:
             raise NotGaussianError(self.c1, self.c3)
-        return GaussRational(self.c0, self.c2)
+        return _gauss_raw(n0, n2, d)
 
     def __str__(self) -> str:
         return f"{self.c0} + {self.c1}*z + {self.c2}*z^2 + {self.c3}*z^3"
@@ -133,30 +145,41 @@ class Cyc8:
         return f"Cyc8({self.c0!r}, {self.c1!r}, {self.c2!r}, {self.c3!r})"
 
 
+_SET = Cyc8._v.__set__
+_NEW = object.__new__
+
+
+def _raw(n0: int, n1: int, n2: int, n3: int, d: int) -> Cyc8:
+    """The element with already canonical integers."""
+    v = _NEW(Cyc8)
+    _SET(v, (n0, n1, n2, n3, d))
+    return v
+
+
+def _canon(n0: int, n1: int, n2: int, n3: int, d: int) -> Cyc8:
+    """(n0 + n1*zeta + n2*zeta^2 + n3*zeta^3)/d for d > 0, in lowest terms."""
+    g = gcd(n0, n1, n2, n3, d)
+    if g != 1:
+        n0, n1, n2, n3, d = n0 // g, n1 // g, n2 // g, n3 // g, d // g
+    return _raw(n0, n1, n2, n3, d)
+
+
 C_ZERO = Cyc8()
 C_ONE = Cyc8(1)
 ZETA = Cyc8(0, 1)
 C_I = Cyc8(0, 0, 1)  # zeta^2 = i
 
-# zeta^k for k = 0..7 as basis coordinate tuples.
-_ZETA_POW = (
-    (1, 0, 0, 0),
-    (0, 1, 0, 0),
-    (0, 0, 1, 0),
-    (0, 0, 0, 1),
-    (-1, 0, 0, 0),
-    (0, -1, 0, 0),
-    (0, 0, -1, 0),
-    (0, 0, 0, -1),
-)
-
 
 def eval_at_zeta8(p: LaurentPoly) -> Cyc8:
-    """Evaluate a Laurent polynomial in A at A = zeta_8."""
-    out = [Fraction(0)] * 4
+    """Evaluate a Laurent polynomial in A at A = zeta_8.
+
+    A^e = (-1)^(e // 4) * zeta^(e % 4), so each integer coefficient lands,
+    signed, on one basis coordinate and the result has denominator 1.
+    """
+    out = [0, 0, 0, 0]
     for e, c in p.items():
-        coords = _ZETA_POW[e % 8]
-        for k in range(4):
-            if coords[k]:
-                out[k] += c * coords[k]
-    return Cyc8(*out)
+        if e & 4:
+            out[e & 3] -= c
+        else:
+            out[e & 3] += c
+    return _raw(*out, 1)

@@ -37,6 +37,15 @@ class NotGaussianError(TangleError, ArithmeticError):
         )
 
 
+class InvariantError(AssertionError):
+    """An internal invariant of exact arithmetic broke, such as a field norm
+    in Q(zeta_8) that is not rational.  This is a bug, not a property of the
+    input, so it is deliberately not a TangleError: no route or suite may
+    report it as a degenerate value.  Unlike an assert, it is raised under
+    python -O as well.
+    """
+
+
 class MixedSignError(TangleError, ValueError):
     """A twist word mixes positive and negative classical crossings."""
 

@@ -3,11 +3,16 @@
 Conductance values live here.  Arithmetic follows the projective rules:
 invert(0) = inf, invert(inf) = 0, inf + finite = inf; the genuinely undefined
 combinations inf + inf and 0 * inf raise IndeterminateError.
+
+A value (a + b*i)/d is stored as the integers (a, b, d), kept canonical:
+gcd(a, b, d) == 1 and d > 0, so equal values have equal triples.  d == 0 is
+the point at infinity, (1, 0, 0).  Fraction parts are built only on request.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import IndeterminateError
 
@@ -15,67 +20,76 @@ from .errors import IndeterminateError
 class GaussRational:
     """An exact complex number p/q + (r/s)i, or the single point at infinity."""
 
-    __slots__ = ("_re", "_im")
+    __slots__ = ("_v",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "_re", Fraction(re))
-        object.__setattr__(self, "_im", Fraction(im))
+        fast = type(re) is int and type(im) is int
+        _SET(self, (re, im, 1) if fast else _over_one_denominator((re, im)))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
 
     @classmethod
     def infinity(cls) -> "GaussRational":
-        v = cls.__new__(cls)
-        object.__setattr__(v, "_re", None)
-        object.__setattr__(v, "_im", None)
-        return v
+        return _raw(1, 0, 0)
+
+    @classmethod
+    def from_ints(cls, re_num: int, im_num: int, den: int) -> "GaussRational":
+        """(re_num + im_num*i)/den for integers with den != 0."""
+        if den < 0:
+            re_num, im_num, den = -re_num, -im_num, -den
+        return _canon(re_num, im_num, den)
 
     @property
     def is_infinite(self) -> bool:
-        return self._re is None
+        return not self._v[2]
 
     @property
     def re(self) -> Fraction:
-        if self.is_infinite:
+        a, _, d = self._v
+        if not d:
             raise IndeterminateError("the point at infinity has no real part")
-        return self._re
+        return Fraction(a, d)
 
     @property
     def im(self) -> Fraction:
-        if self.is_infinite:
+        _, b, d = self._v
+        if not d:
             raise IndeterminateError("the point at infinity has no imaginary part")
-        return self._im
+        return Fraction(b, d)
 
     def is_zero(self) -> bool:
-        return not self.is_infinite and self._re == 0 and self._im == 0
+        a, b, _ = self._v
+        return not (a or b)
 
     @property
     def is_real(self) -> bool:
         """Whether the value is real; infinity counts as real (classical value)."""
-        return self.is_infinite or self._im == 0
+        _, b, d = self._v
+        return not (b and d)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussRational):
             return NotImplemented
-        return self._re == other._re and self._im == other._im
+        return self._v == other._v
 
     def __hash__(self) -> int:
-        return hash((self._re, self._im))
+        return hash(self._v)
 
     def __add__(self, other: "GaussRational") -> "GaussRational":
         if not isinstance(other, GaussRational):
             return NotImplemented
-        if self.is_infinite and other.is_infinite:
+        a, b, d = self._v
+        c, e, f = other._v
+        if not (d and f):
+            if d or f:
+                return INFINITY
             raise IndeterminateError("inf + inf is undefined")
-        if self.is_infinite or other.is_infinite:
-            return INFINITY
-        return GaussRational(self._re + other._re, self._im + other._im)
+        return _canon(a * f + c * d, b * f + e * d, d * f)
 
     def __neg__(self) -> "GaussRational":
-        if self.is_infinite:
-            return INFINITY
-        return GaussRational(-self._re, -self._im)
+        a, b, d = self._v
+        return _raw(-a, -b, d) if d else INFINITY
 
     def __sub__(self, other: "GaussRational") -> "GaussRational":
         if not isinstance(other, GaussRational):
@@ -85,22 +99,22 @@ class GaussRational:
     def __mul__(self, other: "GaussRational") -> "GaussRational":
         if not isinstance(other, GaussRational):
             return NotImplemented
-        if self.is_infinite or other.is_infinite:
-            if (self.is_infinite and other.is_zero()) or (
-                other.is_infinite and self.is_zero()
-            ):
-                raise IndeterminateError("0 * inf is undefined")
-            return INFINITY
-        a, b, c, d = self._re, self._im, other._re, other._im
-        return GaussRational(a * c - b * d, a * d + b * c)
+        a, b, d = self._v
+        c, e, f = other._v
+        if not (d and f):
+            if (a or b) and (c or e):
+                return INFINITY
+            raise IndeterminateError("0 * inf is undefined")
+        return _canon(a * c - b * e, a * e + b * c, d * f)
 
     def invert(self) -> "GaussRational":
-        if self.is_infinite:
-            return GaussRational(0, 0)
-        if self.is_zero():
+        a, b, d = self._v
+        if not d:
+            return G_ZERO
+        if not (a or b):
             return INFINITY
-        n = self._re * self._re + self._im * self._im
-        return GaussRational(self._re / n, -self._im / n)
+        # d/(a + bi) = d(a - bi)/(a^2 + b^2)
+        return _canon(d * a, -d * b, a * a + b * b)
 
     def __truediv__(self, other: "GaussRational") -> "GaussRational":
         if not isinstance(other, GaussRational):
@@ -109,31 +123,69 @@ class GaussRational:
 
     def mul_i(self) -> "GaussRational":
         """Multiply by i (infinity is fixed)."""
-        if self.is_infinite:
-            return INFINITY
-        return GaussRational(-self._im, self._re)
+        a, b, d = self._v
+        return _raw(-b, a, d) if d else INFINITY
+
+    def parts_text(self) -> tuple:
+        """The real and imaginary parts as n/d texts; ("inf", "inf") at infinity."""
+        a, b, d = self._v
+        if not d:
+            return "inf", "inf"
+        return _ratio_text(a, d), _ratio_text(b, d)
 
     def __str__(self) -> str:
-        if self.is_infinite:
+        a, b, d = self._v
+        if not d:
             return "inf"
-        re, im = self._re, self._im
-        head = f"{re.numerator}/{re.denominator}"
-        if im < 0:
-            return f"{head} - {-im.numerator}/{im.denominator}*i"
-        return f"{head} + {im.numerator}/{im.denominator}*i"
+        sign = "-" if b < 0 else "+"
+        return f"{_ratio_text(a, d)} {sign} {_ratio_text(abs(b), d)}*i"
 
     def real_str(self) -> str:
         """Canonical text for a real value: n/d or inf."""
-        if self.is_infinite:
+        a, b, d = self._v
+        if not d:
             return "inf"
-        if self._im != 0:
+        if b:
             raise IndeterminateError("value is not real")
-        return f"{self._re.numerator}/{self._re.denominator}"
+        return _ratio_text(a, d)
 
     def __repr__(self) -> str:
         if self.is_infinite:
             return "GaussRational.infinity()"
-        return f"GaussRational({self._re!r}, {self._im!r})"
+        return f"GaussRational({self.re!r}, {self.im!r})"
+
+
+_SET = GaussRational._v.__set__
+_NEW = object.__new__
+
+
+def _raw(a: int, b: int, d: int) -> GaussRational:
+    """The value with an already canonical triple."""
+    v = _NEW(GaussRational)
+    _SET(v, (a, b, d))
+    return v
+
+
+def _canon(a: int, b: int, d: int) -> GaussRational:
+    """(a + bi)/d for d > 0, reduced to lowest terms."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _raw(a, b, d)
+
+
+def _over_one_denominator(values) -> tuple:
+    """(n_1, ..., n_k, d) with values[j] == n_j/d, d the least common
+    denominator; the integers then have no common factor."""
+    fs = [Fraction(x) for x in values]
+    d = lcm(*(f.denominator for f in fs))
+    return tuple(f.numerator * (d // f.denominator) for f in fs) + (d,)
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """n/d in lowest terms with a positive denominator, as Fraction prints it."""
+    g = gcd(n, d)
+    return f"{n // g}/{d // g}"
 
 
 INFINITY = GaussRational.infinity()

@@ -244,3 +244,28 @@ def test_leading_negative_entry_keeps_options(capsys, tmp_path):
         main(["bracket", "-2,3", "-h"])
     assert exc.value.code == 0
     assert "usage: vtangle bracket" in capsys.readouterr().out
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_reused_across_calls_matches_fresh_parsers(capsys, monkeypatch):
+    # a valid call, an argparse error, then the valid call again
+    calls = [
+        ["conductance", "2,3,1v"],
+        ["conductance", "2,3,1v", "--path", "nowhere"],
+        ["conductance", "2,3,1v"],
+    ]
+    reused = [_outcome(capsys, argv) for argv in calls]
+    assert vtangle.cli._parser() is vtangle.cli._parser()
+    monkeypatch.setattr(vtangle.cli, "_parser", vtangle.cli.build_parser)
+    fresh = [_outcome(capsys, argv) for argv in calls]
+    assert reused == fresh
+    assert reused[0] == reused[2] and reused[0][0] == EXIT_OK
+    assert reused[1][0] == ("exit", 2) and "invalid choice" in reused[1][2]
