@@ -17,17 +17,14 @@ import sys
 
 from .bracket import bracket, bracket_vector  # noqa: F401  (bracket stays importable here)
 from .conductance import (
+    DEGENERATE,
+    DISAGREE,
     PATH_CLASSICAL,
-    PATH_CLOSED,
-    PATH_FRACTION,
-    PATH_RECURSION,
     PATH_STATE_SUM,
+    ROUTES,
+    agree,
     classical_fraction,
-    closed_form,
-    conductance_from_bracket,
     conductance_paths,
-    conductance_recursive,
-    continued_fraction_C,
 )
 from .errors import TangleError, VectorRuleError, VectorSyntaxError
 from .vector import parse_vector
@@ -47,14 +44,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_COMPUTE = 3
 EXIT_VERIFY = 4
-
-_PATH_CHOICES = (
-    PATH_STATE_SUM,
-    PATH_RECURSION,
-    PATH_FRACTION,
-    PATH_CLOSED,
-    PATH_CLASSICAL,
-)
 
 
 def _write(text: str, out=None) -> None:
@@ -86,17 +75,16 @@ def _parse_vector_arg(text: str):
     return vec, None
 
 
-def _parse_envelope(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        return None
+def _envelope_arg(text: str):
+    """(Envelope, None) on success, (None, exit code) after reporting."""
     try:
-        n_max, a_max = int(parts[0]), int(parts[1])
+        # A count other than two fails the unpacking with ValueError too.
+        n_max, a_max = map(int, text.split(","))
     except ValueError:
-        return None
+        n_max = a_max = -1
     if n_max < 1 or a_max < 0:
-        return None
-    return n_max, a_max
+        return None, _fail({"error": f"bad envelope {text!r}, expected n_max,a_max"}, EXIT_PARSE)
+    return Envelope(n_max, a_max), None
 
 
 def cmd_bracket(args) -> int:
@@ -107,73 +95,52 @@ def cmd_bracket(args) -> int:
     return EXIT_OK
 
 
-_SINGLE_PATH = {
-    PATH_RECURSION: conductance_recursive,
-    PATH_FRACTION: continued_fraction_C,
-    PATH_CLOSED: closed_form,
-    PATH_CLASSICAL: lambda v: classical_fraction([a for a, _ in v.entries]),
-}
-
-
 def cmd_conductance(args) -> int:
     vec, code = _parse_vector_arg(args.vector)
     if vec is None:
         return code
+    if args.path == PATH_CLASSICAL and not vec.classical:
+        return _fail(
+            {"vector": str(vec), "error": "classical-fraction needs a marker-free vector"},
+            EXIT_PARSE,
+        )
+    # The bracket is computed once, and the document carries it, whenever
+    # the state sum runs.
+    t = bracket_vector(vec) if args.path in (None, PATH_STATE_SUM) else None
     if args.path:
-        if args.path == PATH_CLASSICAL and not vec.classical:
-            return _fail(
-                {"vector": str(vec), "error": "classical-fraction needs a marker-free vector"},
-                EXIT_PARSE,
-            )
         try:
-            if args.path == PATH_STATE_SUM:
-                t = bracket_vector(vec)
-                value = conductance_from_bracket(t)
-            else:
-                value = _SINGLE_PATH[args.path](vec)
+            value = ROUTES[args.path].run(vec, t)
         except TangleError as exc:
             return _fail({"vector": str(vec), "error": str(exc), "path": args.path}, EXIT_COMPUTE)
         doc = {"vector": str(vec), "C": str(value), "provenance": [args.path]}
-        if args.path == PATH_STATE_SUM:
-            doc["bracket"] = t.as_dict()
-        _emit(doc, args.out)
-        return EXIT_OK
-    t = bracket_vector(vec)
-    values, errors = conductance_paths(vec, include_state_sum=True, triple=t)
-    ordered = [p for p in _PATH_CHOICES if p in values]
-    distinct = {}
-    for p in ordered:
-        distinct.setdefault(values[p].value, []).append(p)
-    if len(distinct) > 1:
-        return _fail(
-            {
+    else:
+        values, errors = conductance_paths(vec, triple=t)
+        verdict, ordered, _ = agree(values, errors)
+        if verdict == DISAGREE:
+            return _fail(
+                {
+                    "vector": str(vec),
+                    "error": "routes disagree",
+                    "routes": {p: str(values[p].value) for p in ordered},
+                },
+                EXIT_VERIFY,
+            )
+        if verdict == DEGENERATE:
+            doc = {
                 "vector": str(vec),
-                "error": "routes disagree",
-                "routes": {p: str(values[p].value) for p in ordered},
-            },
-            EXIT_VERIFY,
-        )
-    if errors:
-        doc = {
-            "vector": str(vec),
-            "error": "some routes were degenerate; no unanimous value",
-            "degenerate": {p: str(e) for p, e in sorted(errors.items())},
-        }
-        if ordered:
-            doc["agreeing"] = {
-                "C": str(values[ordered[0]].value),
-                "routes": ordered,
+                "error": "some routes were degenerate; no unanimous value",
+                "degenerate": {p: str(e) for p, e in sorted(errors.items())},
             }
-        return _fail(doc, EXIT_COMPUTE)
-    _emit(
-        {
-            "vector": str(vec),
-            "C": str(values[ordered[0]].value),
-            "provenance": ordered,
-            "bracket": t.as_dict(),
-        },
-        args.out,
-    )
+            if ordered:
+                doc["agreeing"] = {
+                    "C": str(values[ordered[0]].value),
+                    "routes": ordered,
+                }
+            return _fail(doc, EXIT_COMPUTE)
+        doc = {"vector": str(vec), "C": str(values[ordered[0]].value), "provenance": ordered}
+    if t is not None:
+        doc["bracket"] = t.as_dict()
+    _emit(doc, args.out)
     return EXIT_OK
 
 
@@ -191,25 +158,23 @@ def cmd_fraction(args) -> int:
     return EXIT_OK
 
 
+# The suites in run and report order; "all" runs every one.
+_SUITES = {
+    "equivalence": lambda env, args: run_equivalence_suite(env),
+    "invariance": lambda env, args: run_invariance_suite(seed=args.seed, count=args.samples),
+    "additivity": lambda env, args: run_additivity_suite(seed=args.seed, count=args.samples),
+    "ratio": lambda env, args: run_ratio_suite(seed=args.seed, count=args.samples),
+}
+
+
 def cmd_verify(args) -> int:
-    env_pair = _parse_envelope(args.envelope)
-    if env_pair is None:
-        return _fail({"error": f"bad envelope {args.envelope!r}, expected n_max,a_max"}, EXIT_PARSE)
-    env = Envelope(*env_pair)
+    env, code = _envelope_arg(args.envelope)
+    if env is None:
+        return code
+    suites = list(_SUITES) if args.suite == "all" else [args.suite]
     reports = []
-    suites = []
-    if args.suite in ("all", "equivalence"):
-        suites.append("equivalence")
-        reports.extend(run_equivalence_suite(env))
-    if args.suite in ("all", "invariance"):
-        suites.append("invariance")
-        reports.extend(run_invariance_suite(seed=args.seed, count=args.samples))
-    if args.suite in ("all", "additivity"):
-        suites.append("additivity")
-        reports.extend(run_additivity_suite(seed=args.seed, count=args.samples))
-    if args.suite in ("all", "ratio"):
-        suites.append("ratio")
-        reports.extend(run_ratio_suite(seed=args.seed, count=args.samples))
+    for name in suites:
+        reports.extend(_SUITES[name](env, args))
     reports.sort(key=lambda r: (r.name, r.instance))
     counts = {}
     for r in reports:
@@ -246,10 +211,9 @@ def _csv_records(records) -> str:
 
 
 def cmd_enumerate(args) -> int:
-    env_pair = _parse_envelope(args.envelope)
-    if env_pair is None:
-        return _fail({"error": f"bad envelope {args.envelope!r}, expected n_max,a_max"}, EXIT_PARSE)
-    env = Envelope(*env_pair)
+    env, code = _envelope_arg(args.envelope)
+    if env is None:
+        return code
     records, summary = enumerate_classify(env)
     if args.format == "csv":
         _write(_csv_records(records), args.out)
@@ -276,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="conductance C of a tangle vector; all routes must agree",
     )
     c.add_argument("vector", help="tangle vector, e.g. 2,-3v,1 or inf,2")
-    c.add_argument("--path", choices=_PATH_CHOICES, help="use one route instead of all")
+    c.add_argument("--path", choices=tuple(ROUTES), help="use one route instead of all")
     c.add_argument("--out", help="write the document to a file instead of stdout")
 
     f = sub.add_parser("fraction", help="classical continued fraction of a marker-free vector")
@@ -289,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--samples", type=int, default=100, help="sample count per sampled suite")
     v.add_argument(
         "--suite",
-        choices=("all", "equivalence", "invariance", "additivity", "ratio"),
+        choices=("all", *_SUITES),
         default="all",
     )
     v.add_argument("--out", help="write the document to a file instead of stdout")

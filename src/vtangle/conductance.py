@@ -10,6 +10,7 @@ consistency anchor for marker-free vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .bracket import BracketTriple, bracket_contract, bracket_vector, combine_triples
 from .cyclotomic import C_I, eval_at_zeta8
@@ -305,10 +306,34 @@ def ratio_identity(d: TangleDiagram):
     )
 
 
-def conductance_paths(
-    vec: TangleVector, include_state_sum: bool = True, triple: BracketTriple | None = None
-):
-    """Every available route for one vector.
+@dataclass(frozen=True)
+class Route:
+    """One conductance route.  run(vec, triple) gives its value, where
+    triple is the vector's bracket (only the state sum reads it); applies(vec)
+    says whether conductance_paths runs it on a normalized vector."""
+
+    run: Callable
+    applies: Callable = lambda vec: True
+
+
+# The routes in report order.  The entries call the route functions by their
+# module-level names, so a wrapper bound to such a name sees every call.
+ROUTES = {
+    PATH_STATE_SUM: Route(lambda vec, triple: conductance_from_bracket(triple)),
+    PATH_RECURSION: Route(lambda vec, triple: conductance_recursive(vec)),
+    PATH_FRACTION: Route(lambda vec, triple: continued_fraction_C(vec)),
+    PATH_CLOSED: Route(
+        lambda vec, triple: closed_form(vec), lambda vec: len(vec.entries) <= 3
+    ),
+    PATH_CLASSICAL: Route(
+        lambda vec, triple: classical_fraction([a for a, _ in vec.entries]),
+        lambda vec: vec.classical,
+    ),
+}
+
+
+def conductance_paths(vec: TangleVector, triple: BracketTriple | None = None):
+    """Every applicable route for one vector, in ROUTES order.
 
     The state-sum route evaluates the vector's bracket, folded through the
     tangle algebra; a caller that already holds it passes it as triple.
@@ -317,26 +342,40 @@ def conductance_paths(
     """
     vec = vec.normalized()
     vec.validate()
+    if triple is None:
+        triple = bracket_vector(vec)
     values = {}
     errors = {}
-
-    def attempt(label, fn):
+    for label, route in ROUTES.items():
+        if not route.applies(vec):
+            continue
         try:
-            values[label] = ConductanceValue(fn(), label)
+            values[label] = ConductanceValue(route.run(vec, triple), label)
         except TangleError as exc:
             errors[label] = exc
-
-    if include_state_sum:
-        if triple is None:
-            triple = bracket_vector(vec)
-        attempt(PATH_STATE_SUM, lambda: conductance_from_bracket(triple))
-    attempt(PATH_RECURSION, lambda: conductance_recursive(vec))
-    attempt(PATH_FRACTION, lambda: continued_fraction_C(vec))
-    if len(vec.entries) <= 3:
-        attempt(PATH_CLOSED, lambda: closed_form(vec))
-    if vec.classical:
-        attempt(
-            PATH_CLASSICAL,
-            lambda: classical_fraction([a for a, _ in vec.entries]),
-        )
     return values, errors
+
+
+DISAGREE = "disagree"
+DEGENERATE = "degenerate"
+UNANIMOUS = "unanimous"
+
+
+def agree(values, errors):
+    """The verdict on one vector's routes, from conductance_paths' result.
+
+    Returns (verdict, labels, distinct): labels are the routes that gave a
+    value, in ROUTES order, and distinct maps each distinct value to the
+    labels that gave it, first value first.  The verdict is DISAGREE when
+    two values differ, else DEGENERATE when a route raised, else UNANIMOUS.
+    """
+    distinct = {}
+    for label, cv in values.items():
+        distinct.setdefault(cv.value, []).append(label)
+    if len(distinct) > 1:
+        verdict = DISAGREE
+    elif errors:
+        verdict = DEGENERATE
+    else:
+        verdict = UNANIMOUS
+    return verdict, list(values), distinct

@@ -93,33 +93,7 @@ def elementary(n: int, eps: int, axis: str = HORIZONTAL) -> TangleDiagram:
     if axis not in (HORIZONTAL, VERTICAL):
         raise ValueError(f"unknown axis {axis!r}")
     sign = 1 if n > 0 else -1
-    signs = [sign] * abs(n) + ([VIRTUAL] if eps else [])
-    total = len(signs)
-    b = BOUNDARY
-    if total == 0:
-        if axis == HORIZONTAL:
-            arcs = (((b, NW), (b, NE)), ((b, SW), (b, SE)))
-        else:
-            arcs = (((b, NW), (b, SW)), ((b, NE), (b, SE)))
-        return TangleDiagram((), arcs)
-    arcs = []
-    if axis == HORIZONTAL:
-        arcs.append(((b, NW), (0, NW)))
-        arcs.append(((b, SW), (0, SW)))
-        for j in range(total - 1):
-            arcs.append(((j, NE), (j + 1, NW)))
-            arcs.append(((j, SE), (j + 1, SW)))
-        arcs.append(((total - 1, NE), (b, NE)))
-        arcs.append(((total - 1, SE), (b, SE)))
-    else:
-        arcs.append(((b, NW), (0, NW)))
-        arcs.append(((b, NE), (0, NE)))
-        for j in range(total - 1):
-            arcs.append(((j, SW), (j + 1, NW)))
-            arcs.append(((j, SE), (j + 1, NE)))
-        arcs.append(((total - 1, SW), (b, SW)))
-        arcs.append(((total - 1, SE), (b, SE)))
-    return TangleDiagram(tuple(signs), tuple(arcs))
+    return twist_word_diagram(TwistWord((sign,) * abs(n) + (VIRTUAL,) * eps, axis))
 
 
 def _fuse(partner, ident, terminal_map):
@@ -206,7 +180,7 @@ def combine(t: TangleDiagram, s: TangleDiagram, op: str) -> TangleDiagram:
     )
 
 
-def fold_basic(vec: TangleVector, leaf, join, strict: bool = True):
+def fold_basic(vec: TangleVector, leaf, join):
     """Fold the alternating sum/stack construction of a vector.
 
     leaf(a, e, axis) gives one twist region and join(t, s, op) glues two
@@ -216,8 +190,7 @@ def fold_basic(vec: TangleVector, leaf, join, strict: bool = True):
     at the east end.
     """
     vec = vec.normalized()
-    if strict:
-        vec.validate()
+    vec.validate()
     entries = vec.entries
     if not entries:
         raise VectorRuleError("a tangle vector needs at least one entry", 1)
@@ -239,9 +212,9 @@ def fold_basic(vec: TangleVector, leaf, join, strict: bool = True):
     return t
 
 
-def build_basic(vec: TangleVector, strict: bool = True) -> TangleDiagram:
+def build_basic(vec: TangleVector) -> TangleDiagram:
     """Alternating sum/stack construction of the basic diagram of a vector."""
-    return fold_basic(vec, elementary, combine, strict)
+    return fold_basic(vec, elementary, combine)
 
 
 def rotate_pi(t: TangleDiagram) -> TangleDiagram:
@@ -367,20 +340,15 @@ def reduce_twist_region(word: TwistWord):
 
 def twist_word_diagram(word: TwistWord) -> TangleDiagram:
     """Chain diagram of a twist word, letters laid out along the axis."""
-    signs = tuple(VIRTUAL if w == 0 else w for w in word.letters)
-    total = len(signs)
-    b = BOUNDARY
-    if total == 0:
-        return elementary(0, 0, word.axis)
-    arcs = []
     if word.axis == HORIZONTAL:
-        arcs += [((b, NW), (0, NW)), ((b, SW), (0, SW))]
-        for j in range(total - 1):
-            arcs += [((j, NE), (j + 1, NW)), ((j, SE), (j + 1, SW))]
-        arcs += [((total - 1, NE), (b, NE)), ((total - 1, SE), (b, SE))]
+        (in1, in2), (out1, out2) = (NW, SW), (NE, SE)
     else:
-        arcs += [((b, NW), (0, NW)), ((b, NE), (0, NE))]
-        for j in range(total - 1):
-            arcs += [((j, SW), (j + 1, NW)), ((j, SE), (j + 1, NE))]
-        arcs += [((total - 1, SW), (b, SW)), ((total - 1, SE), (b, SE))]
-    return TangleDiagram(signs, tuple(arcs))
+        (in1, in2), (out1, out2) = (NW, NE), (SW, SE)
+    # end1 and end2 are the two strands the next node takes in.
+    end1, end2 = (BOUNDARY, in1), (BOUNDARY, in2)
+    arcs = []
+    for j in range(len(word.letters)):
+        arcs += [(end1, (j, in1)), (end2, (j, in2))]
+        end1, end2 = (j, out1), (j, out2)
+    arcs += [(end1, (BOUNDARY, out1)), (end2, (BOUNDARY, out2))]
+    return TangleDiagram(tuple(word.letters), tuple(arcs))

@@ -13,12 +13,12 @@ from itertools import product
 
 from .bracket import bracket_contract, bracket_vector
 from .conductance import (
-    PATH_CLASSICAL,
-    PATH_CLOSED,
-    PATH_FRACTION,
+    DEGENERATE,
+    DISAGREE,
     PATH_RECURSION,
     PATH_STATE_SUM,
     additivity_identity,
+    agree,
     conductance_from_bracket,
     conductance_paths,
     conductance_recursive,
@@ -42,8 +42,6 @@ STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_INDETERMINATE = "indeterminate"
 STATUS_FINDING = "finding"
-
-_PATH_ORDER = (PATH_STATE_SUM, PATH_RECURSION, PATH_FRACTION, PATH_CLOSED, PATH_CLASSICAL)
 
 
 @dataclass(frozen=True)
@@ -124,7 +122,7 @@ def iter_vectors(env: Envelope):
             yield v
 
 
-def run_equivalence_suite(env: Envelope, include_state_sum: bool = True):
+def run_equivalence_suite(env: Envelope):
     """Cross-check every conductance route on every vector in the envelope.
 
     pass: every route that produced a value agreed (at least two routes).
@@ -136,15 +134,12 @@ def run_equivalence_suite(env: Envelope, include_state_sum: bool = True):
     reports = []
     for v in iter_vectors(env):
         inst = str(v)
-        values, errors = conductance_paths(v, include_state_sum=include_state_sum)
-        ordered = [p for p in _PATH_ORDER if p in values]
-        distinct = {}
-        for p in ordered:
-            distinct.setdefault(values[p].value, []).append(p)
+        values, errors = conductance_paths(v)
+        verdict, ordered, distinct = agree(values, errors)
         gaussian_problems = {
             p: e for p, e in errors.items() if isinstance(e, NotGaussianError)
         }
-        if len(distinct) > 1:
+        if verdict == DISAGREE:
             (v1, p1), (v2, p2) = [(val, ps[0]) for val, ps in list(distinct.items())[:2]]
             reports.append(
                 CheckReport(
@@ -166,7 +161,7 @@ def run_equivalence_suite(env: Envelope, include_state_sum: bool = True):
                     notes="; ".join(f"{p}: {e}" for p, e in gaussian_problems.items()),
                 )
             )
-        elif errors:
+        elif verdict == DEGENERATE:
             agreed = str(values[ordered[0]].value) if ordered else ""
             reports.append(
                 CheckReport(

@@ -1,5 +1,6 @@
 """CLI contract: documents, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -122,6 +123,14 @@ def test_verify_single_suite(capsys):
 def test_verify_bad_envelope(capsys):
     code, _, err = run_cli(capsys, "verify", "--envelope", "nope")
     assert code == EXIT_PARSE
+    # enumerate shares the check and its report
+    for text in ("nope", "3", "3,3,3", "x,3", "0,3", "3,-1", ""):
+        for command in ("verify", "enumerate"):
+            code, out, err = run_cli(capsys, command, "--envelope", text)
+            assert (code, out) == (EXIT_PARSE, ""), (command, text)
+            assert json.loads(err) == {
+                "error": f"bad envelope {text!r}, expected n_max,a_max"
+            }
 
 
 def test_enumerate_json_deterministic(capsys):
@@ -269,3 +278,23 @@ def test_parser_reused_across_calls_matches_fresh_parsers(capsys, monkeypatch):
     assert reused == fresh
     assert reused[0] == reused[2] and reused[0][0] == EXIT_OK
     assert reused[1][0] == ("exit", 2) and "invalid choice" in reused[1][2]
+
+
+def _choices(command, option):
+    parser = vtangle.cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(
+        a.choices for a in sub.choices[command]._actions if option in a.option_strings
+    )
+
+
+def test_option_choices_come_from_the_tables():
+    assert _choices("conductance", "--path") == tuple(vtangle.conductance.ROUTES)
+    assert tuple(vtangle.conductance.ROUTES) == (
+        "state-sum",
+        "recursion",
+        "continued-fraction",
+        "closed-form",
+        "classical-fraction",
+    )
+    assert _choices("verify", "--suite") == ("all", *vtangle.cli._SUITES)

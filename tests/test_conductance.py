@@ -11,7 +11,10 @@ from vtangle.conductance import (
     PATH_FRACTION,
     PATH_RECURSION,
     PATH_STATE_SUM,
+    ROUTES,
+    ConductanceValue,
     additivity_identity,
+    agree,
     classical_fraction,
     closed_form,
     conductance_from_bracket,
@@ -166,6 +169,40 @@ def test_conductance_paths_reports_routes():
     assert PATH_CLOSED not in values  # no closed form beyond length 3
     assert PATH_CLASSICAL not in values  # not classical
     assert not errors
+
+
+def test_conductance_paths_follow_the_route_table():
+    cases = {
+        "2,3,1": ([PATH_STATE_SUM, PATH_RECURSION, PATH_FRACTION, PATH_CLOSED, PATH_CLASSICAL], []),
+        "1,1,1,1v": ([PATH_STATE_SUM, PATH_RECURSION, PATH_FRACTION], []),
+        "0,1,2v": ([PATH_STATE_SUM, PATH_CLOSED], [PATH_RECURSION, PATH_FRACTION]),
+    }
+    for text, (labels, degenerate) in cases.items():
+        values, errors = conductance_paths(parse_vector(text))
+        assert list(values) == labels, text
+        assert [label for label in ROUTES if label in values] == labels, text
+        assert sorted(errors) == sorted(degenerate), text
+        assert all(cv.provenance == label for label, cv in values.items())
+
+
+def test_agree_verdicts():
+    one, two = GaussRational(1, 0), GaussRational(2, 0)
+
+    def cv(**by_label):
+        return {label: ConductanceValue(v, label) for label, v in by_label.items()}
+
+    values = cv(a=one, b=one)
+    assert agree(values, {}) == ("unanimous", ["a", "b"], {one: ["a", "b"]})
+    assert agree(values, {"c": DivisorZeroError(2, "x")}) == (
+        "degenerate",
+        ["a", "b"],
+        {one: ["a", "b"]},
+    )
+    assert agree({}, {"c": DivisorZeroError(2, "x")}) == ("degenerate", [], {})
+    values = cv(a=one, b=two, c=one)
+    assert agree(values, {}) == ("disagree", ["a", "b", "c"], {one: ["a", "c"], two: ["b"]})
+    # a disagreement outranks a degenerate route
+    assert agree(values, {"d": DivisorZeroError(2, "x")})[0] == "disagree"
 
 
 def test_additivity_identity_golden():

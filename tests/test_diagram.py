@@ -169,3 +169,25 @@ def test_twist_word_matches_reduced_elementary():
             assert _triple(twist_word_diagram(word)) == _triple(
                 elementary(n, eps, axis)
             ), (letters, axis)
+
+
+def test_elementary_is_the_twist_word_chain():
+    for n in range(-4, 5):
+        for eps in (0, 1):
+            for axis in (HORIZONTAL, VERTICAL):
+                sign = 1 if n > 0 else -1
+                word = TwistWord((sign,) * abs(n) + (0,) * eps, axis)
+                assert elementary(n, eps, axis) == twist_word_diagram(word), (n, eps, axis)
+    # the chain itself: strands enter at the west (north) end, leave at the east (south)
+    b = BOUNDARY
+    assert elementary(-1, 1, HORIZONTAL) == TangleDiagram(
+        (-1, VIRTUAL),
+        (((b, NW), (0, NW)), ((b, SW), (0, SW)), ((0, NE), (1, NW)),
+         ((0, SE), (1, SW)), ((1, NE), (b, NE)), ((1, SE), (b, SE))),
+    )
+    assert elementary(1, 1, VERTICAL) == TangleDiagram(
+        (1, VIRTUAL),
+        (((b, NW), (0, NW)), ((b, NE), (0, NE)), ((0, SW), (1, NW)),
+         ((0, SE), (1, NE)), ((1, SW), (b, SW)), ((1, SE), (b, SE))),
+    )
+    assert elementary(0, 0, VERTICAL) == TangleDiagram((), (((b, NW), (b, SW)), ((b, NE), (b, SE))))
