@@ -21,6 +21,16 @@ GOLDEN = {
     ("2,4", "json"): (0, "1547672b88b14a824ec598fdd46e87190de454875991eb20a93c8524c6412d61"),
 }
 
+# The same digests for exact argv lists, recorded while every vector's
+# conductance was still computed by its own recursion pass: the benchmark's
+# enumerate call, and a CSV survey with interior marked zeros and a fallback.
+ARGV_GOLDEN = {
+    ("enumerate", "--envelope", "3,5", "--format", "json"): (
+        0, "c425e6b96d41d223df280d01cc107eb6e0120010cb95ae8f58f801d3926e463c"),
+    ("enumerate", "--envelope", "4,2", "--format", "csv"): (
+        0, "64275bedfa98e3473261fa63b7eedf0ad82638f12c17d23b1864f7425ae01b13"),
+}
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -35,3 +45,23 @@ def test_enumerate_output_is_byte_identical(capsys, envelope, fmt):
     captured = capsys.readouterr()
     want_code, want_out = GOLDEN[(envelope, fmt)]
     assert (code, _sha(captured.out), _sha(captured.err)) == (want_code, want_out, EMPTY)
+
+
+@pytest.mark.parametrize("argv", sorted(ARGV_GOLDEN), ids=" ".join)
+def test_enumerate_argv_output_is_byte_identical(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    want_code, want_out = ARGV_GOLDEN[argv]
+    assert (code, _sha(captured.out), _sha(captured.err)) == (want_code, want_out, EMPTY)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_enumerate_out_file_matches_stdout(capsys, tmp_path, fmt):
+    argv = ["enumerate", "--envelope", "2,3", "--format", fmt]
+    code = main(argv)
+    stdout = capsys.readouterr().out
+    target = tmp_path / f"survey.{fmt}"
+    assert main(argv + ["--out", str(target)]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "")
+    assert target.read_bytes() == stdout.encode()
