@@ -52,7 +52,13 @@ class BracketTriple:
 
 @dataclass(frozen=True)
 class StateResolution:
-    """One state of the sum: its boundary pairing, loop count, and weight."""
+    """One state of the sum: its boundary pairing, loop count, and weight.
+
+    Public, with resolve_state, because it is the one way to look at a
+    single smoothing of the oracle: the state sum adds up 2^N of these and
+    reports only the total, so a wrong pairing or loop count in one state
+    can otherwise only be seen through a wrong triple.
+    """
 
     pairing: str
     loops: int
@@ -156,7 +162,14 @@ class _Compiled:
 
 
 def resolve_state(d: TangleDiagram, choices) -> StateResolution:
-    """Resolve one explicit choice vector (one bit per classical crossing)."""
+    """Resolve one explicit choice vector (one bit per classical crossing).
+
+    It stays public beside the private _Compiled.resolve, which bracket()
+    runs over every state, because it checks its input (one choice in
+    {0, 1} per classical crossing, ValueError otherwise) and names the
+    result, so a smoothing drawn by hand, such as the paper's single and
+    marked double crossings, can be checked against the oracle's.
+    """
     comp = _Compiled(d)
     if len(choices) != len(comp.classical):
         raise ValueError(

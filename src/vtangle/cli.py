@@ -46,16 +46,17 @@ EXIT_COMPUTE = 3
 EXIT_VERIFY = 4
 
 
-def _write(text: str, out=None) -> None:
+def _write(chunks, out=None) -> None:
+    """Write text chunks in order to the file out, or to stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.writelines(chunks)
 
 
 def _emit(doc: dict, out=None) -> None:
-    _write(json.dumps(doc, indent=2), out)
+    _write((json.dumps(doc, indent=2), "\n"), out)
 
 
 def _fail(doc: dict, code: int) -> int:
@@ -210,17 +211,69 @@ def _csv_records(records) -> str:
     return buf.getvalue()
 
 
+# One record as json.dumps(record.as_dict(), indent=2) prints it at the
+# depth of the survey document's "records" list.
+_RECORD_JSON = (
+    "    {{\n"
+    '      "vector": {},\n'
+    '      "conductance": {},\n'
+    '      "is_real": {},\n'
+    '      "bucket_id": {},\n'
+    '      "provenance": {}\n'
+    "    }}"
+)
+_json_str = json.encoder.encode_basestring_ascii
+_RECORDS_PER_CHUNK = 1024
+
+
+def _record_json(rec, conductance: str) -> str:
+    """rec by _RECORD_JSON; conductance is the JSON string of its value."""
+    return _RECORD_JSON.format(
+        _json_str(rec.vector),
+        conductance,
+        "true" if rec.is_real else "false",
+        rec.bucket_id,
+        _json_str(rec.provenance),
+    )
+
+
+def _survey_json(summary: dict, records):
+    """The enumerate JSON document, byte for byte what json.dumps(indent=2)
+    prints for {"summary": ..., "records": [...]}, as text chunks of up to
+    _RECORDS_PER_CHUNK records, so no string of the whole document is ever
+    built.  A bucket's records share one value, which is encoded once."""
+    head = json.dumps({"summary": summary, "records": []}, indent=2)
+    if not records:
+        yield head + "\n"
+        return
+    yield head[: -len("]\n}")] + "\n"
+    values = {}
+
+    def encode(rec):
+        value = values.get(rec.bucket_id)
+        if value is None:
+            value = values[rec.bucket_id] = _json_str(str(rec.conductance))
+        return _record_json(rec, value)
+
+    sep = ""
+    for start in range(0, len(records), _RECORDS_PER_CHUNK):
+        chunk = records[start : start + _RECORDS_PER_CHUNK]
+        yield sep + ",\n".join(map(encode, chunk))
+        sep = ",\n"
+    yield "\n  ]\n}\n"
+
+
 def cmd_enumerate(args) -> int:
     env, code = _envelope_arg(args.envelope)
     if env is None:
         return code
     records, summary = enumerate_classify(env)
     if args.format == "csv":
-        _write(_csv_records(records), args.out)
+        _write((_csv_records(records),), args.out)
         if summary["findings"]:
             sys.stderr.write(json.dumps({"findings": summary["findings"]}, indent=2) + "\n")
     else:
-        _emit({"summary": summary, "records": [r.as_dict() for r in records]}, args.out)
+        _write(_survey_json(summary, records), args.out)
     return EXIT_COMPUTE if summary["findings"] else EXIT_OK
 
 

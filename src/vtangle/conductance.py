@@ -89,52 +89,63 @@ def classical_fraction(entries, first_is_horizontal: bool = True) -> GaussRation
 _VC_OF_INF = GaussRational(0, 1)
 
 
+def _track_start(entry):
+    """(C_1, D_1) of a one-entry prefix; D_1 is None for an infinite entry,
+    whose flipped value no later step reads."""
+    a, e = entry
+    if a is INF:
+        return INFINITY, None
+    return GaussRational(a, e), GaussRational(a, 1 - e)
+
+
+def _track_value(k, a, bit, prev_c, prev_d, inf_base):
+    """One step of the two-track recursion: the conductance of the prefix
+    (prev_c, flipped value prev_d) extended by entry k + 1 = (a, bit),
+    horizontal when k is even.  inf_base says the first entry is INF.
+
+    Raises DivisorZeroError, naming entry k + 1, when the entry is marked and
+    the virtual-twist divisor prev_c * i / prev_d is undefined or prev_d is
+    itself degenerate (None).
+    """
+    if bit == 0:
+        inner = prev_c
+    elif k == 1 and inf_base:
+        inner = _VC_OF_INF
+    elif prev_d is None:
+        raise DivisorZeroError(k + 1, "flipped-prefix value already degenerate")
+    else:
+        try:
+            inner = prev_c.mul_i() / prev_d
+        except IndeterminateError as exc:
+            raise DivisorZeroError(k + 1, str(exc)) from exc
+    if k % 2 == 0:
+        return GaussRational(a, 0) + inner
+    return (GaussRational(a, 0) + inner.invert()).invert()
+
+
 def _prefix_track(entries):
     """C_k for every prefix, and D_k (the prefix with its last marker
     flipped) for every prefix that a later entry extends, computed left to
-    right in one pass.  Only entry k+1 reads D_k, so the loop computes no D
-    for the last entry.
+    right in one pass of _track_value.  Only entry k+1 reads D_k, so the
+    loop computes no D for the last entry.
 
     D_k is None when its own divisor was degenerate; it is only an error if
     a later entry actually needs it (DivisorZeroError identifies the entry).
     """
     last = len(entries) - 1
-    a0, e0 = entries[0]
-    if a0 is INF:
-        cs = [INFINITY]
-        ds = [None]
-        inf_base = True
-    else:
-        cs = [GaussRational(a0, e0)]
-        ds = [GaussRational(a0, 1 - e0)]
-        inf_base = False
+    c, d = _track_start(entries[0])
+    inf_base = entries[0][0] is INF
+    cs, ds = [c], [d]
     for k in range(1, len(entries)):
         a, e = entries[k]
-        horizontal = k % 2 == 0
-        prev_c, prev_d = cs[-1], ds[-1]
-
-        def twist_div():
-            if k == 1 and inf_base:
-                return _VC_OF_INF
-            if prev_d is None:
-                raise DivisorZeroError(k + 1, "flipped-prefix value already degenerate")
-            try:
-                return prev_c.mul_i() / prev_d
-            except IndeterminateError as exc:
-                raise DivisorZeroError(k + 1, str(exc)) from exc
-
-        def value(bit):
-            inner = prev_c if bit == 0 else twist_div()
-            if horizontal:
-                return _gr(a) + inner
-            return (_gr(a) + inner.invert()).invert()
-
-        cs.append(value(e))
+        cs.append(_track_value(k, a, e, c, d, inf_base))
         if k < last:
             try:
-                ds.append(value(1 - e))
+                d = _track_value(k, a, 1 - e, c, d, inf_base)
             except DivisorZeroError:
-                ds.append(None)
+                d = None
+            ds.append(d)
+        c = cs[-1]
     return cs, ds
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import product
 
 from .bracket import bracket_contract, bracket_vector
 from .conductance import (
@@ -17,6 +16,8 @@ from .conductance import (
     DISAGREE,
     PATH_RECURSION,
     PATH_STATE_SUM,
+    _track_start,
+    _track_value,
     additivity_identity,
     agree,
     conductance_from_bracket,
@@ -33,7 +34,7 @@ from .diagram import (
     insert_kink,
     virtualize_crossing,
 )
-from .errors import IndeterminateError, NotGaussianError, TangleError
+from .errors import DivisorZeroError, IndeterminateError, NotGaussianError, TangleError
 from .gaussian import G_I, GaussRational
 from .laurent import LaurentPoly
 from .vector import INF, TangleVector
@@ -104,22 +105,89 @@ class Envelope:
         }
 
 
-def iter_vectors(env: Envelope):
-    """All valid vectors in the envelope, in a fixed deterministic order."""
+def _walk(env: Envelope, root, child):
+    """Expand the envelope's vectors one length at a time, in iter_vectors'
+    order, and yield the node of every valid vector.
+
+    root(entry) makes the node of a one-entry prefix; child(node, k, entry,
+    extend) makes the node of node's prefix followed by entry at index k,
+    where extend says whether the walk will extend that child in turn.  Only
+    the prefixes of the next level are kept.  A (0, 0) entry past position 0
+    is interior in every longer vector, so it ends an odd-length vector and
+    is pruned at even lengths; a prefix with one never extends.
+    """
     eps_options = (0,) if env.classical_only else (0, 1)
     ints = [
         (a, e) for a in range(-env.a_max, env.a_max + 1) for e in eps_options
     ]
     firsts = list(ints) + ([(INF, 0)] if env.include_inf else [])
-    for n in range(1, env.n_max + 1):
-        pools = [firsts] + [ints] * (n - 1)
-        for combo in product(*pools):
-            v = TangleVector(tuple(combo))
+    level = []
+    for entry in firsts:
+        node = root(entry)
+        yield node
+        level.append(node)
+    for k in range(1, env.n_max):
+        extend = k + 1 < env.n_max
+        odd = k % 2 == 0
+        kept = []
+        for node in level:
+            for entry in ints:
+                if entry == (0, 0):
+                    if odd:
+                        yield child(node, k, entry, False)
+                    continue
+                grown = child(node, k, entry, extend)
+                yield grown
+                if extend:
+                    kept.append(grown)
+        level = kept
+
+
+def iter_vectors(env: Envelope):
+    """All valid vectors in the envelope, in a fixed deterministic order:
+    by length, then lexicographically by entry, a from -a_max to a_max with
+    the unmarked entry first and INF last among first entries."""
+    for entries in _walk(
+        env, lambda entry: (entry,), lambda node, k, entry, extend: node + (entry,)
+    ):
+        yield TangleVector(entries)
+
+
+def _track_walk(env: Envelope):
+    """(entries, text, C, error) for every vector of iter_vectors(env), where
+    C is conductance_recursive's value and error what it raises instead.
+
+    Each node carries its prefix's C and flipped value D from _track_value,
+    and the first error, which every extension inherits; a vector costs one
+    recursion step, plus one for D when the walk extends it.
+    """
+    def root(entry):
+        a, e = entry
+        c, d = _track_start(entry)
+        return (entry,), f"{'inf' if a is INF else a}{'v' if e else ''}", c, d, None
+
+    def child(node, k, entry, extend):
+        entries, text, c, d, error = node
+        entries = entries + (entry,)
+        a, e = entry
+        text = f"{text},{a}v" if e else f"{text},{a}"
+        if error is not None:
+            return entries, text, None, None, error
+        inf_base = entries[0][0] is INF
+        try:
+            grown = _track_value(k, a, e, c, d, inf_base)
+        except TangleError as exc:
+            return entries, text, None, None, exc
+        flipped = None
+        if extend:
             try:
-                v.validate()
-            except TangleError:
-                continue
-            yield v
+                flipped = _track_value(k, a, 1 - e, c, d, inf_base)
+            except DivisorZeroError:
+                pass
+        return entries, text, grown, flipped, None
+
+    for entries, text, c, _, error in _walk(env, root, child):
+        yield entries, text, c, error
 
 
 def run_equivalence_suite(env: Envelope):
@@ -457,28 +525,26 @@ def enumerate_classify(env: Envelope, sink=None):
     explanation where one exists: the virtual-cancellation family or a
     classical vector in the same bucket), formula degeneracies recovered via
     the state sum, and any remaining findings.  Infinity counts as a real
-    (classical) value.
+    (classical) value.  Each value is the recursion's, read off one
+    prefix-shared walk of the envelope.
     """
     records = []
     bucket_of = {}
     values = []
     members = []
+    real = {}
     real_virtual = []
     degenerate = []
     findings = []
-    for v in iter_vectors(env):
-        value = None
-        provenance = None
-        try:
-            value = conductance_recursive(v)
-            provenance = PATH_RECURSION
-        except TangleError as exc:
+    for entries, text, value, exc in _track_walk(env):
+        provenance = PATH_RECURSION
+        if exc is not None:
             try:
-                value = conductance_from_bracket(bracket_vector(v))
+                value = conductance_from_bracket(bracket_vector(TangleVector(entries)))
                 provenance = PATH_STATE_SUM
                 degenerate.append(
                     {
-                        "vector": str(v),
+                        "vector": text,
                         "error": str(exc),
                         "conductance": str(value),
                         "provenance": PATH_STATE_SUM,
@@ -486,50 +552,52 @@ def enumerate_classify(env: Envelope, sink=None):
                 )
             except TangleError as exc2:
                 findings.append(
-                    {"vector": str(v), "kind": "no-value", "error": f"{exc}; {exc2}"}
+                    {"vector": text, "kind": "no-value", "error": f"{exc}; {exc2}"}
                 )
                 continue
-        if value not in bucket_of:
-            bucket_of[value] = len(members)
+        bid = bucket_of.get(value)
+        if bid is None:
+            bid = bucket_of[value] = len(members)
             values.append(value)
             members.append([])
-        bid = bucket_of[value]
-        members[bid].append(v)
-        rec = EnumerationRecord(str(v), value, value.is_real, bid, provenance)
+        value = values[bid]  # one value object per bucket, shared by its records
+        rec = EnumerationRecord(text, value, value.is_real, bid, provenance)
+        members[bid].append(rec)
+        if rec.is_real:
+            real.setdefault(bid, []).append(TangleVector(entries))
         records.append(rec)
         if sink is not None:
             sink(rec)
-    for value, vs in zip(values, members):
+    for bid, vs in real.items():
+        value = values[bid]
+        classical_match = next((str(v) for v in vs if v.classical), None)
         for v in vs:
-            if not v.classical and value.is_real:
-                entry = {"vector": str(v), "conductance": str(value)}
-                companion = _figure_family_companion(v)
-                if companion is not None and conductance_recursive(companion) == value:
-                    entry["explanation"] = (
-                        f"virtual-cancellation family: equals C({companion})"
-                    )
-                else:
-                    classical_match = next(
-                        (str(w) for w in vs if w.classical), None
-                    )
-                    if classical_match is not None:
-                        entry["explanation"] = (
-                            f"same conductance as classical {classical_match}"
-                        )
-                    else:
-                        entry["explanation"] = ""
-                        findings.append(
-                            {
-                                "vector": str(v),
-                                "kind": "unexplained-real-virtual",
-                                "conductance": str(value),
-                            }
-                        )
-                real_virtual.append(entry)
+            if v.classical:
+                continue
+            entry = {"vector": str(v), "conductance": str(value)}
+            companion = _figure_family_companion(v)
+            if companion is not None and conductance_recursive(companion) == value:
+                entry["explanation"] = (
+                    f"virtual-cancellation family: equals C({companion})"
+                )
+            elif classical_match is not None:
+                entry["explanation"] = (
+                    f"same conductance as classical {classical_match}"
+                )
+            else:
+                entry["explanation"] = ""
+                findings.append(
+                    {
+                        "vector": str(v),
+                        "kind": "unexplained-real-virtual",
+                        "conductance": str(value),
+                    }
+                )
+            real_virtual.append(entry)
     collisions = [
-        {"conductance": str(value), "vectors": [str(v) for v in vs]}
-        for value, vs in zip(values, members)
-        if len(vs) > 1
+        {"conductance": str(value), "vectors": [rec.vector for rec in recs]}
+        for value, recs in zip(values, members)
+        if len(recs) > 1
     ]
     collisions.sort(key=lambda c: c["conductance"])
     summary = {

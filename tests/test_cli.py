@@ -19,6 +19,8 @@ from vtangle.cli import (
     EXIT_VERIFY,
     main,
 )
+from vtangle.gaussian import GaussRational
+from vtangle.verify import EnumerationRecord, Envelope, enumerate_classify
 
 
 def run_cli(capsys, *argv):
@@ -154,6 +156,30 @@ def test_enumerate_csv(capsys, tmp_path):
     assert len(lines) > 1
     row = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert row["is-real"] in ("true", "false")
+
+
+def test_record_template_matches_json_dumps():
+    records, summary = enumerate_classify(Envelope(3, 1))
+    cases = {
+        "infinite C": [r for r in records if r.conductance.is_infinite],
+        "state-sum provenance": [r for r in records if r.provenance == "state-sum"],
+        "negative real part": [
+            r for r in records if not r.conductance.is_infinite and r.conductance.re < 0
+        ],
+    }
+    assert all(cases.values()), {k: len(v) for k, v in cases.items()}
+    # No survey value has a negative imaginary part; the template still
+    # carries the sign that str(GaussRational) prints for one.
+    made_up = EnumerationRecord("-2v,1", GaussRational(-3, -1), False, 7, "recursion")
+    for rec in records + [made_up]:
+        want = json.dumps(rec.as_dict(), indent=2).replace("\n", "\n    ")
+        got = vtangle.cli._record_json(rec, json.dumps(str(rec.conductance)))
+        assert got == "    " + want
+    for recs in (records, []):
+        doc = {"summary": summary, "records": [r.as_dict() for r in recs]}
+        text = "".join(vtangle.cli._survey_json(summary, recs))
+        assert text == json.dumps(doc, indent=2) + "\n"
+    assert '"records": []\n}\n' in "".join(vtangle.cli._survey_json(summary, []))
 
 
 def test_out_writes_file(capsys, tmp_path):

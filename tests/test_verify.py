@@ -1,6 +1,12 @@
 """Verification suites: statuses, determinism, honest findings."""
 
-from vtangle.vector import INF, parse_vector
+from itertools import product
+
+import vtangle.conductance
+import vtangle.verify
+from vtangle.conductance import conductance_recursive
+from vtangle.errors import TangleError
+from vtangle.vector import INF, TangleVector, parse_vector
 from vtangle.verify import (
     STATUS_FAIL,
     STATUS_INDETERMINATE,
@@ -35,6 +41,63 @@ def test_iter_vectors_flags():
     assert all(v.classical for v in classical)
     no_inf = list(iter_vectors(Envelope(2, 2, include_inf=False)))
     assert all(v.entries[0][0] is not INF for v in no_inf)
+
+
+def _brute_force_vectors(env):
+    """iter_vectors' contract spelled out: every entry combination of each
+    length, in product order, kept when validate() accepts it."""
+    eps = (0,) if env.classical_only else (0, 1)
+    ints = [(a, e) for a in range(-env.a_max, env.a_max + 1) for e in eps]
+    firsts = ints + ([(INF, 0)] if env.include_inf else [])
+    out = []
+    for n in range(1, env.n_max + 1):
+        for combo in product(firsts, *[ints] * (n - 1)):
+            v = TangleVector(combo)
+            try:
+                v.validate()
+            except TangleError:
+                continue
+            out.append(v)
+    return out
+
+
+def test_iter_vectors_equals_brute_force():
+    for n_max in range(1, 5):
+        for a_max in range(4):
+            for include_inf, classical_only in product((True, False), repeat=2):
+                env = Envelope(n_max, a_max, include_inf, classical_only)
+                want = _brute_force_vectors(env)
+                assert list(iter_vectors(env)) == want, env
+
+
+def test_track_walk_equals_recursion():
+    count = 0
+    for entries, text, value, error in vtangle.verify._track_walk(Envelope(4, 3)):
+        v = TangleVector(entries)
+        assert text == str(v)
+        try:
+            want = conductance_recursive(v)
+        except TangleError as exc:
+            assert (value, str(error)) == (None, str(exc)), text
+        else:
+            assert (value, error) == (want, None), text
+        count += 1
+    assert count == 35895
+
+
+def test_enumerate_pays_about_one_recursion_step_per_vector(monkeypatch):
+    calls = []
+    step = vtangle.conductance._track_value
+
+    def counting(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(vtangle.conductance, "_track_value", counting)
+    monkeypatch.setattr(vtangle.verify, "_track_value", counting)
+    records, summary = enumerate_classify(Envelope(3, 5))
+    vectors = summary["vectors"] + len(summary["findings"])
+    assert len(calls) <= 1.25 * vectors, len(calls) / vectors
 
 
 def test_equivalence_suite_statuses():
