@@ -227,7 +227,8 @@ _RECORDS_PER_CHUNK = 1024
 
 
 def _record_json(rec, conductance: str) -> str:
-    """rec by _RECORD_JSON; conductance is the JSON string of its value."""
+    """One record's text from _RECORD_JSON; conductance is its value's text,
+    already JSON-encoded."""
     return _RECORD_JSON.format(
         _json_str(rec.vector),
         conductance,

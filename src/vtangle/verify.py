@@ -121,11 +121,8 @@ def _walk(env: Envelope, root, child):
         (a, e) for a in range(-env.a_max, env.a_max + 1) for e in eps_options
     ]
     firsts = list(ints) + ([(INF, 0)] if env.include_inf else [])
-    level = []
-    for entry in firsts:
-        node = root(entry)
-        yield node
-        level.append(node)
+    level = [root(entry) for entry in firsts]
+    yield from level
     for k in range(1, env.n_max):
         extend = k + 1 < env.n_max
         odd = k % 2 == 0
