@@ -559,7 +559,7 @@ def enumerate_classify(env: Envelope, sink=None):
             members.append([])
         value = values[bid]  # one value object per bucket, shared by its records
         rec = EnumerationRecord(text, value, value.is_real, bid, provenance)
-        members[bid].append(rec)
+        members[bid].append(text)
         if rec.is_real:
             real.setdefault(bid, []).append(TangleVector(entries))
         records.append(rec)
@@ -592,9 +592,9 @@ def enumerate_classify(env: Envelope, sink=None):
                 )
             real_virtual.append(entry)
     collisions = [
-        {"conductance": str(value), "vectors": [rec.vector for rec in recs]}
-        for value, recs in zip(values, members)
-        if len(recs) > 1
+        {"conductance": str(value), "vectors": texts}
+        for value, texts in zip(values, members)
+        if len(texts) > 1
     ]
     collisions.sort(key=lambda c: c["conductance"])
     summary = {
