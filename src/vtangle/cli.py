@@ -223,7 +223,6 @@ _RECORD_JSON = (
     "    }}"
 )
 _json_str = json.encoder.encode_basestring_ascii
-_RECORDS_PER_CHUNK = 1024
 
 
 def _record_json(rec, conductance: str) -> str:
@@ -240,26 +239,27 @@ def _record_json(rec, conductance: str) -> str:
 
 def _survey_json(summary: dict, records):
     """The enumerate JSON document, byte for byte what json.dumps(indent=2)
-    prints for {"summary": ..., "records": [...]}, as text chunks of up to
-    _RECORDS_PER_CHUNK records, so no string of the whole document is ever
-    built.  A bucket's records share one value, which is encoded once."""
+    prints for {"summary": ..., "records": [...]}, as one text chunk per
+    record after the summary, so no string of the whole document is ever
+    built.  A bucket's records share one value, which is encoded once.
+
+    A one-record chunk is small enough for the interpreter's small-object
+    allocator.  Chunks of many records are C-heap blocks; a writer that
+    keeps its chunks until the end (io.StringIO does on CPython 3.11) then
+    fragments the heap differently from run to run, and peak memory varied
+    by a copy of the document."""
     head = json.dumps({"summary": summary, "records": []}, indent=2)
     if not records:
         yield head + "\n"
         return
     yield head[: -len("]\n}")] + "\n"
     values = {}
-
-    def encode(rec):
+    sep = ""
+    for rec in records:
         value = values.get(rec.bucket_id)
         if value is None:
             value = values[rec.bucket_id] = _json_str(str(rec.conductance))
-        return _record_json(rec, value)
-
-    sep = ""
-    for start in range(0, len(records), _RECORDS_PER_CHUNK):
-        chunk = records[start : start + _RECORDS_PER_CHUNK]
-        yield sep + ",\n".join(map(encode, chunk))
+        yield sep + _record_json(rec, value)
         sep = ",\n"
     yield "\n  ]\n}\n"
 

@@ -180,6 +180,8 @@ def test_record_template_matches_json_dumps():
         text = "".join(vtangle.cli._survey_json(summary, recs))
         assert text == json.dumps(doc, indent=2) + "\n"
     assert '"records": []\n}\n' in "".join(vtangle.cli._survey_json(summary, []))
+    # The summary, then one chunk per record, then the closing brackets.
+    assert len(list(vtangle.cli._survey_json(summary, records))) == len(records) + 2
 
 
 def test_out_writes_file(capsys, tmp_path):
