@@ -191,3 +191,34 @@ def test_elementary_is_the_twist_word_chain():
          ((0, SE), (1, NE)), ((1, SW), (b, SW)), ((1, SE), (b, SE))),
     )
     assert elementary(0, 0, VERTICAL) == TangleDiagram((), (((b, NW), (b, SW)), ((b, NE), (b, SE))))
+
+
+_B = BOUNDARY
+
+
+@pytest.mark.parametrize(
+    "signs, arcs, free_loops, message",
+    [
+        ((), (((_B, NW), (_B, NW)), ((_B, NE), (_B, SE)), ((_B, SW), (_B, SE))), 0,
+         "malformed arc ((-1, 0), (-1, 0))"),
+        ((), (((_B, SE), (_B, NW), (_B, NE)), ((_B, SW), (_B, SE))), 0,
+         "malformed arc ((-1, 0), (-1, 1), (-1, 2))"),
+        ((), (((_B, NW), (_B, 4)), ((_B, NE), (_B, SE))), 0,
+         "bad slot in endpoint (-1, 4)"),
+        ((), (((_B, NW), (0, NW)), ((_B, NE), (_B, SE)), ((_B, SW), (0, SE))), 0,
+         "endpoint references missing node 0"),
+        ((), (((_B, NW), (_B, NE)), ((_B, SW), (_B, NE))), 0,
+         "endpoint (-1, 1) used twice"),
+        ((1,), (((0, NW), (0, NE)),), 0,
+         "diagram must touch every port and endpoint exactly once (2 of 8 present)"),
+        ((2,), (((_B, NW), (0, NW)), ((_B, SW), (0, SW)),
+                ((0, NE), (_B, NE)), ((0, SE), (_B, SE))), 0,
+         "bad node sign 2"),
+        ((), (((_B, NW), (_B, NE)), ((_B, SW), (_B, SE))), -1,
+         "free_loops must be nonnegative"),
+    ],
+)
+def test_malformed_input_messages(signs, arcs, free_loops, message):
+    with pytest.raises(ValueError) as exc:
+        TangleDiagram(signs, arcs, free_loops)
+    assert str(exc.value) == message
