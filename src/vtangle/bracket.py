@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .diagram import (
-    BOUNDARY,
     COMPASS,
     HORIZONTAL,
     NE,
@@ -75,20 +74,14 @@ class _Compiled:
     """Flat-array form of a diagram for fast per-state resolution.
 
     Ports are numbered 4*node + slot; the four boundary endpoints sit after
-    all node ports.  partner follows arcs, internal follows the smoothing.
+    all node ports.  partner is the diagram's link, which follows arcs;
+    internal follows the smoothing.
     """
 
     __slots__ = ("partner", "template", "classical", "signs", "free_loops", "bb")
 
     def __init__(self, d: TangleDiagram):
-        nn = d.n_nodes
-        self.bb = 4 * nn
-        partner = [-1] * (self.bb + 4)
-        for a, b in d.arcs:
-            pa = self.bb + a[1] if a[0] == BOUNDARY else 4 * a[0] + a[1]
-            pb = self.bb + b[1] if b[0] == BOUNDARY else 4 * b[0] + b[1]
-            partner[pa] = pb
-            partner[pb] = pa
+        self.bb = 4 * d.n_nodes
         template = [-1] * self.bb
         classical = []
         for j, s in enumerate(d.signs):
@@ -100,7 +93,7 @@ class _Compiled:
                 template[base + SW] = base + NE
             else:
                 classical.append(j)
-        self.partner = partner
+        self.partner = d.link
         self.template = template
         self.classical = classical
         self.signs = d.signs
@@ -281,12 +274,12 @@ _LEADS_OUT = (NW, NE, SE, SW)  # the shape of a node whose slots all lead out
 def bracket_contract(d: TangleDiagram) -> BracketTriple:
     """The state sum of bracket(d), contracted one node at a time.
 
-    Ports are numbered 4*node + slot and the boundary endpoints 4*n_nodes +
-    compass, so label >> 2 is the owning node (n_nodes for the boundary).
-    Virtual crossings are fixed re-pairings, so they are first spliced out
-    of the arcs: link[p] is where the strand leaving port p first meets a
-    classical port or the boundary, and strands that close through virtual
-    crossings alone are loops.
+    Ports are numbered as in d.link, 4*node + slot and the boundary
+    endpoints 4*n_nodes + compass, so label >> 2 is the owning node (n_nodes
+    for the boundary).  Virtual crossings are fixed re-pairings, so they are
+    first spliced out of a copy of the port array: link[p] is where the
+    strand leaving port p first meets a classical port or the boundary, and
+    strands that close through virtual crossings alone are loops.
 
     The frontier holds the four boundary endpoints and every open port: a
     port of a classical node not yet contracted whose link leads into the
@@ -303,16 +296,12 @@ def bracket_contract(d: TangleDiagram) -> BracketTriple:
     signs = d.signs
     nn = len(signs)
     bb = 4 * nn
-    # built here, not by _Compiled, so the oracle shares no code with this
-    link = [0] * (bb + 4)
-    for a, b in d.arcs:
-        pa = bb + a[1] if a[0] == BOUNDARY else 4 * a[0] + a[1]
-        pb = bb + b[1] if b[0] == BOUNDARY else 4 * b[0] + b[1]
-        link[pa] = pb
-        link[pb] = pa
+    link = d.link
     loops = d.free_loops
     if VIRTUAL in signs:
-        # splice each virtual crossing's two through-strands out of the arcs
+        # splice each virtual crossing's two through-strands out of a copy
+        # of the port array (the oracle resolves them in every state)
+        link = list(link)
         for j, s in enumerate(signs):
             if s != VIRTUAL:
                 continue

@@ -4,6 +4,12 @@ A diagram is a set of 4-port nodes (classical crossings carry a sign, virtual
 crossings carry none), a perfect matching of arcs on the ports plus the four
 boundary endpoints NW/NE/SE/SW, and a count of closed free loops.
 
+The matching is stored as a port array.  Slot s of node j is port 4*j + s,
+endpoint c is port 4*n_nodes + c, and link[p] is the port at the other end
+of p's arc.  Gluing, rotating and decorating a diagram splice this array;
+both bracket engines read it as it is, and the arc list (node, slot) pairs
+of the constructor is derived from it on demand.
+
 Sign convention: a +1 crossing is the one whose A-smoothing joins its north
 port pair and its south port pair (the horizontal smoothing); -1 swaps the
 two smoothings.  Rotating a crossing by a quarter turn therefore flips its
@@ -13,13 +19,13 @@ stored sign, while a half turn preserves it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import eq, itemgetter
 
 from .errors import MixedSignError, VectorRuleError
 from .vector import INF, TangleVector
 
 NW, NE, SE, SW = 0, 1, 2, 3
 COMPASS = (NW, NE, SE, SW)
-COMPASS_NAMES = ("NW", "NE", "SE", "SW")
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 VIRTUAL = 0  # sign value marking a virtual crossing
@@ -27,44 +33,79 @@ BOUNDARY = -1  # node index used for the four tangle endpoints
 PLUS = "plus"
 STAR = "star"
 
-# Image of each compass slot under rotation by pi.
-_PI_ROT = (SE, SW, NW, NE)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TangleDiagram:
-    """Immutable port graph with canonical arc ordering."""
+    """Immutable port graph: node signs, port array link, free loop count.
+
+    TangleDiagram(signs, arcs, free_loops) takes the arcs as pairs of
+    (node, slot) endpoints, node BOUNDARY for the four tangle endpoints, in
+    any order.  A matching stored as link is already canonical, so equal
+    diagrams compare and hash equal without sorting.
+    """
 
     signs: tuple
-    arcs: tuple
-    free_loops: int = field(default=0)
+    link: tuple
+    free_loops: int
 
-    def __post_init__(self):
-        canon = tuple(sorted(tuple(sorted(arc)) for arc in self.arcs))
-        object.__setattr__(self, "arcs", canon)
-        seen = {}
-        for arc in canon:
+    def __init__(self, signs, arcs, free_loops: int = 0):
+        bb = 4 * len(signs)
+        link = [-1] * (bb + 4)
+        present = 0
+        for arc in arcs:
+            arc = tuple(arc)
             if len(arc) != 2 or arc[0] == arc[1]:
-                raise ValueError(f"malformed arc {arc}")
+                raise ValueError(f"malformed arc {tuple(sorted(arc))}")
+            ports = []
             for node, slot in arc:
                 if slot not in COMPASS:
                     raise ValueError(f"bad slot in endpoint ({node}, {slot})")
-                if node != BOUNDARY and not 0 <= node < len(self.signs):
+                if node == BOUNDARY:
+                    p = bb + slot
+                elif 0 <= node < len(signs):
+                    p = 4 * node + slot
+                else:
                     raise ValueError(f"endpoint references missing node {node}")
-                if (node, slot) in seen:
+                if link[p] >= 0:
                     raise ValueError(f"endpoint ({node}, {slot}) used twice")
-                seen[(node, slot)] = True
-        expected = 4 * len(self.signs) + 4
-        if len(seen) != expected:
+                ports.append(p)
+            p, q = ports
+            link[p] = q
+            link[q] = p
+            present += 2
+        if present != len(link):
             raise ValueError(
                 f"diagram must touch every port and endpoint exactly once"
-                f" ({len(seen)} of {expected} present)"
+                f" ({present} of {len(link)} present)"
             )
+        _new(signs, tuple(link), free_loops, self)
+
+    def __post_init__(self):
+        """The one check every diagram passes, however it was built: link
+        pairs each of the 4*n_nodes + 4 ports with another one."""
+        link = self.link
+        ports = tuple(range(4 * len(self.signs) + 4))
+        try:
+            paired = itemgetter(*link)(link) == ports
+        except (IndexError, TypeError):
+            paired = False
+        if not paired or any(map(eq, link, ports)):
+            raise ValueError("link must pair every port with another one")
         for s in self.signs:
             if s not in (-1, VIRTUAL, 1):
                 raise ValueError(f"bad node sign {s}")
         if self.free_loops < 0:
             raise ValueError("free_loops must be nonnegative")
+
+    @property
+    def arcs(self) -> tuple:
+        """The matching as sorted pairs of sorted (node, slot) endpoints."""
+        bb = 4 * len(self.signs)
+        ends = [divmod(p, 4) for p in range(bb)] + [(BOUNDARY, c) for c in COMPASS]
+        return tuple(sorted(
+            (ends[p], ends[q]) if ends[p] < ends[q] else (ends[q], ends[p])
+            for p, q in enumerate(self.link) if p < q
+        ))
 
     @property
     def n_nodes(self) -> int:
@@ -77,6 +118,30 @@ class TangleDiagram:
     @property
     def n_classical(self) -> int:
         return len(self.classical_indices)
+
+
+def _new(signs: tuple, link: tuple, free_loops: int, d=None) -> TangleDiagram:
+    """The one place a diagram gets its fields: set them on d (a fresh
+    diagram by default) and run the validator."""
+    if d is None:
+        d = object.__new__(TangleDiagram)
+    object.__setattr__(d, "signs", signs)
+    object.__setattr__(d, "link", link)
+    object.__setattr__(d, "free_loops", free_loops)
+    d.__post_init__()
+    return d
+
+
+def _relabel(t: TangleDiagram, signs: tuple, new, arcs=()) -> TangleDiagram:
+    """t with port p renamed new[p], the extra arcs (pairs of new ports)
+    added, and signs as the node signs; free loops are kept."""
+    link = [0] * (4 * len(signs) + 4)
+    for p, q in enumerate(t.link):
+        link[new[p]] = new[q]
+    for p, q in arcs:
+        link[p] = q
+        link[q] = p
+    return _new(signs, tuple(link), t.free_loops)
 
 
 def elementary(n: int, eps: int, axis: str = HORIZONTAL) -> TangleDiagram:
@@ -96,88 +161,46 @@ def elementary(n: int, eps: int, axis: str = HORIZONTAL) -> TangleDiagram:
     return twist_word_diagram(TwistWord((sign,) * abs(n) + (VIRTUAL,) * eps, axis))
 
 
-def _fuse(partner, ident, terminal_map):
-    """Contract 2-valent glue junctions out of a matching.
-
-    partner: endpoint -> endpoint from the raw arcs; ident: junction -> its
-    glued twin (both directions); terminal_map: surviving endpoint -> final
-    label.  Returns (arcs, closed_loop_count).
-    """
-    arcs = []
-    loops = 0
-    visited = set()
-    for start in terminal_map:
-        if start in visited:
-            continue
-        visited.add(start)
-        cur = partner[start]
-        while cur in ident:
-            visited.add(cur)
-            twin = ident[cur]
-            visited.add(twin)
-            cur = partner[twin]
-        visited.add(cur)
-        arcs.append((terminal_map[start], terminal_map[cur]))
-    for tok in ident:
-        if tok in visited:
-            continue
-        loops += 1
-        cur = tok
-        while cur not in visited:
-            visited.add(cur)
-            twin = ident[cur]
-            visited.add(twin)
-            cur = partner[twin]
-    return arcs, loops
+# The end pairs each combination glues.  Ends 0-3 are t's endpoints and 4-7
+# are s's, in compass order; every other end becomes the result's endpoint
+# of its own compass point.
+_GLUE = {
+    PLUS: {NE: 4 + NW, 4 + NW: NE, SE: 4 + SW, 4 + SW: SE},
+    STAR: {SW: 4 + NW, 4 + NW: SW, SE: 4 + NE, 4 + NE: SE},
+}
 
 
 def combine(t: TangleDiagram, s: TangleDiagram, op: str) -> TangleDiagram:
     """Tangle sum: 'plus' glues t's east endpoints to s's west endpoints;
     'star' glues t's south endpoints to s's north endpoints."""
-    if op not in (PLUS, STAR):
+    twin = _GLUE.get(op)
+    if twin is None:
         raise ValueError(f"unknown combination {op!r}")
-    shift = t.n_nodes
+    tb = 4 * t.n_nodes
+    sb = 4 * s.n_nodes
+    bb = tb + sb
+    # s's nodes follow t's; arcs between node ports carry over as they are
+    link = [*t.link[:tb], *(q + tb for q in s.link[:sb]), 0, 0, 0, 0]
+    # inner[e]: where end e's arc leads inside its own tangle, a port of the
+    # result or ~f for end f
+    inner = [q if q < tb else ~(q - tb) for q in t.link[tb:]]
+    inner += [q + tb if q < sb else ~(q - sb + 4) for q in s.link[sb:]]
 
-    def t_ep(ep):
-        node, slot = ep
-        return ("T", slot) if node == BOUNDARY else ep
+    def reach(x):
+        # the result port at the far end of a strand that reaches x (a port,
+        # or ~e for arriving at end e from inside its tangle)
+        while x < 0 and ~x in twin:
+            x = inner[twin[~x]]
+        return x if x >= 0 else bb + (~x & 3)
 
-    def s_ep(ep):
-        node, slot = ep
-        return ("S", slot) if node == BOUNDARY else (node + shift, slot)
-
-    partner = {}
-    for a, b in t.arcs:
-        pa, pb = t_ep(a), t_ep(b)
-        partner[pa] = pb
-        partner[pb] = pa
-    for a, b in s.arcs:
-        pa, pb = s_ep(a), s_ep(b)
-        partner[pa] = pb
-        partner[pb] = pa
-
-    if op == PLUS:
-        glue = ((("T", NE), ("S", NW)), (("T", SE), ("S", SW)))
-        boundary = {("T", NW): NW, ("T", SW): SW, ("S", NE): NE, ("S", SE): SE}
-    else:
-        glue = ((("T", SW), ("S", NW)), (("T", SE), ("S", NE)))
-        boundary = {("T", NW): NW, ("T", NE): NE, ("S", SW): SW, ("S", SE): SE}
-
-    ident = {}
-    for x, y in glue:
-        ident[x] = y
-        ident[y] = x
-    terminal_map = {}
-    for node in range(t.n_nodes + s.n_nodes):
-        for slot in COMPASS:
-            terminal_map[(node, slot)] = (node, slot)
-    for tok, compass in boundary.items():
-        terminal_map[tok] = (BOUNDARY, compass)
-
-    arcs, loops = _fuse(partner, ident, terminal_map)
-    return TangleDiagram(
-        t.signs + s.signs, tuple(arcs), t.free_loops + s.free_loops + loops
-    )
+    for e, x in enumerate(inner):
+        if x >= 0:
+            link[x] = reach(~e)
+        if e not in twin:
+            link[bb + (e & 3)] = reach(x)
+    # the glued ends close a loop only when each leads back to another
+    closed = all(inner[e] < 0 and ~inner[e] in twin for e in twin)
+    return _new(t.signs + s.signs, tuple(link), t.free_loops + s.free_loops + closed)
 
 
 def fold_basic(vec: TangleVector, leaf, join):
@@ -218,16 +241,16 @@ def build_basic(vec: TangleVector) -> TangleDiagram:
 
 
 def rotate_pi(t: TangleDiagram) -> TangleDiagram:
-    """Rotate the whole diagram by a half turn; crossing signs are preserved."""
-    arcs = tuple(
-        tuple((node, _PI_ROT[slot]) for node, slot in arc) for arc in t.arcs
-    )
-    return TangleDiagram(t.signs, arcs, t.free_loops)
+    """Rotate the whole diagram by a half turn; crossing signs are preserved.
+
+    The half turn swaps NW with SE and NE with SW, which flips bit 1 of
+    every port number, endpoints included."""
+    return _relabel(t, t.signs, [p ^ 2 for p in range(len(t.link))])
 
 
 def add_free_loop(t: TangleDiagram) -> TangleDiagram:
     """Adjoin one disjoint closed loop (bracket gains one loop factor)."""
-    return TangleDiagram(t.signs, t.arcs, t.free_loops + 1)
+    return _new(t.signs, t.link, t.free_loops + 1)
 
 
 FLYPE_KINDS = ("classical-left", "classical-right", "virtual")
@@ -263,24 +286,14 @@ def virtualize_crossing(t: TangleDiagram, idx: int) -> TangleDiagram:
     """
     if not 0 <= idx < t.n_nodes or t.signs[idx] == VIRTUAL:
         raise ValueError(f"node {idx} is not a classical crossing")
-    v1 = t.n_nodes
-    v2 = t.n_nodes + 1
-    rewire = {
-        (idx, NW): (v1, NW),
-        (idx, SW): (v1, SW),
-        (idx, NE): (v2, NE),
-        (idx, SE): (v2, SE),
-    }
-    arcs = [
-        tuple(rewire.get(ep, ep) for ep in arc) for arc in t.arcs
-    ]
-    arcs += [
-        ((v1, NE), (idx, NW)),
-        ((v1, SE), (idx, SW)),
-        ((idx, NE), (v2, NW)),
-        ((idx, SE), (v2, SW)),
-    ]
-    return TangleDiagram(t.signs + (VIRTUAL, VIRTUAL), tuple(arcs), t.free_loops)
+    bb = 4 * t.n_nodes
+    x, v1, v2 = 4 * idx, bb, bb + 4
+    # the crossing's old arcs move to the outer slots of the flanking nodes
+    new = [*range(bb), *range(bb + 8, bb + 12)]
+    new[x + NW], new[x + SW] = v1 + NW, v1 + SW
+    new[x + NE], new[x + SE] = v2 + NE, v2 + SE
+    arcs = ((v1 + NE, x + NW), (v1 + SE, x + SW), (x + NE, v2 + NW), (x + SE, v2 + SW))
+    return _relabel(t, t.signs + (VIRTUAL, VIRTUAL), new, arcs)
 
 
 def insert_kink(t: TangleDiagram, endpoint: int, sign: int) -> TangleDiagram:
@@ -291,22 +304,13 @@ def insert_kink(t: TangleDiagram, endpoint: int, sign: int) -> TangleDiagram:
         raise ValueError("endpoint must be one of NW, NE, SE, SW")
     if sign not in (1, -1):
         raise ValueError("kink sign must be +1 or -1")
-    k = t.n_nodes
-    target = (BOUNDARY, endpoint)
-    arcs = []
-    spliced = False
-    for arc in t.arcs:
-        if target in arc:
-            other = arc[0] if arc[1] == target else arc[1]
-            arcs.append((other, (k, NW)))
-            spliced = True
-        else:
-            arcs.append(arc)
-    if not spliced:
-        raise ValueError(f"endpoint {COMPASS_NAMES[endpoint]} not found")
-    arcs.append(((k, NE), target))
-    arcs.append(((k, SE), (k, SW)))
-    return TangleDiagram(t.signs + (sign,), tuple(arcs), t.free_loops)
+    k = 4 * t.n_nodes
+    # the endpoint's arc now ends at the new node's NW port, which takes the
+    # old endpoint's port number; the other endpoints move up by one node
+    new = [*range(k), *range(k + 4, k + 8)]
+    new[k + endpoint] = k + NW
+    arcs = ((k + NE, k + 4 + endpoint), (k + SE, k + SW))
+    return _relabel(t, t.signs + (sign,), new, arcs)
 
 
 @dataclass(frozen=True)
@@ -344,11 +348,14 @@ def twist_word_diagram(word: TwistWord) -> TangleDiagram:
         (in1, in2), (out1, out2) = (NW, SW), (NE, SE)
     else:
         (in1, in2), (out1, out2) = (NW, NE), (SW, SE)
-    # end1 and end2 are the two strands the next node takes in.
-    end1, end2 = (BOUNDARY, in1), (BOUNDARY, in2)
-    arcs = []
-    for j in range(len(word.letters)):
-        arcs += [(end1, (j, in1)), (end2, (j, in2))]
-        end1, end2 = (j, out1), (j, out2)
-    arcs += [(end1, (BOUNDARY, out1)), (end2, (BOUNDARY, out2))]
-    return TangleDiagram(tuple(word.letters), tuple(arcs))
+    bb = 4 * len(word.letters)
+    link = [0] * (bb + 4)
+    # end1 and end2 are the ports of the two strands the next node takes in.
+    end1, end2 = bb + in1, bb + in2
+    for base in range(0, bb, 4):
+        link[end1], link[base + in1] = base + in1, end1
+        link[end2], link[base + in2] = base + in2, end2
+        end1, end2 = base + out1, base + out2
+    link[end1], link[bb + out1] = bb + out1, end1
+    link[end2], link[bb + out2] = bb + out2, end2
+    return _new(tuple(word.letters), tuple(link), 0)

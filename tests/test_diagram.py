@@ -1,10 +1,15 @@
 """Port-graph diagrams: construction, gluing, moves, twist words."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vtangle.bracket import bracket
 from vtangle.diagram import (
     BOUNDARY,
+    COMPASS,
+    FLYPE_KINDS,
     HORIZONTAL,
     NE,
     NW,
@@ -29,6 +34,7 @@ from vtangle.diagram import (
 )
 from vtangle.errors import MixedSignError
 from vtangle.vector import parse_vector
+from vtangle.verify import sample_diagrams
 
 
 def _triple(d):
@@ -222,3 +228,188 @@ def test_malformed_input_messages(signs, arcs, free_loops, message):
     with pytest.raises(ValueError) as exc:
         TangleDiagram(signs, arcs, free_loops)
     assert str(exc.value) == message
+
+
+# Arc-level references for the moves: each works on (node, slot) endpoints
+# and builds its result through the public constructor, sharing nothing with
+# the port-array moves it checks.
+
+
+def _ref_fuse(partner, ident, terminal_map):
+    """Contract 2-valent glue junctions out of a matching.
+
+    partner: endpoint -> endpoint from the raw arcs; ident: junction -> its
+    glued twin (both directions); terminal_map: surviving endpoint -> final
+    label.  Returns (arcs, closed_loop_count).
+    """
+    arcs = []
+    loops = 0
+    visited = set()
+    for start in terminal_map:
+        if start in visited:
+            continue
+        visited.add(start)
+        cur = partner[start]
+        while cur in ident:
+            visited.add(cur)
+            twin = ident[cur]
+            visited.add(twin)
+            cur = partner[twin]
+        visited.add(cur)
+        arcs.append((terminal_map[start], terminal_map[cur]))
+    for tok in ident:
+        if tok in visited:
+            continue
+        loops += 1
+        cur = tok
+        while cur not in visited:
+            visited.add(cur)
+            twin = ident[cur]
+            visited.add(twin)
+            cur = partner[twin]
+    return arcs, loops
+
+
+def _ref_combine(t, s, op):
+    shift = t.n_nodes
+
+    def t_ep(ep):
+        node, slot = ep
+        return ("T", slot) if node == BOUNDARY else ep
+
+    def s_ep(ep):
+        node, slot = ep
+        return ("S", slot) if node == BOUNDARY else (node + shift, slot)
+
+    partner = {}
+    for a, b in t.arcs:
+        partner[t_ep(a)] = t_ep(b)
+        partner[t_ep(b)] = t_ep(a)
+    for a, b in s.arcs:
+        partner[s_ep(a)] = s_ep(b)
+        partner[s_ep(b)] = s_ep(a)
+    if op == PLUS:
+        glue = ((("T", NE), ("S", NW)), (("T", SE), ("S", SW)))
+        boundary = {("T", NW): NW, ("T", SW): SW, ("S", NE): NE, ("S", SE): SE}
+    else:
+        glue = ((("T", SW), ("S", NW)), (("T", SE), ("S", NE)))
+        boundary = {("T", NW): NW, ("T", NE): NE, ("S", SW): SW, ("S", SE): SE}
+    ident = {}
+    for x, y in glue:
+        ident[x] = y
+        ident[y] = x
+    terminal_map = {
+        (node, slot): (node, slot)
+        for node in range(t.n_nodes + s.n_nodes)
+        for slot in COMPASS
+    }
+    for tok, compass in boundary.items():
+        terminal_map[tok] = (BOUNDARY, compass)
+    arcs, loops = _ref_fuse(partner, ident, terminal_map)
+    return TangleDiagram(
+        t.signs + s.signs, tuple(arcs), t.free_loops + s.free_loops + loops
+    )
+
+
+def _ref_rotate_pi(t):
+    rot = (SE, SW, NW, NE)
+    arcs = tuple(tuple((node, rot[slot]) for node, slot in arc) for arc in t.arcs)
+    return TangleDiagram(t.signs, arcs, t.free_loops)
+
+
+def _ref_insert_kink(t, endpoint, sign):
+    k = t.n_nodes
+    target = (BOUNDARY, endpoint)
+    arcs = []
+    for arc in t.arcs:
+        if target in arc:
+            other = arc[0] if arc[1] == target else arc[1]
+            arcs.append((other, (k, NW)))
+        else:
+            arcs.append(arc)
+    arcs += [((k, NE), target), ((k, SE), (k, SW))]
+    return TangleDiagram(t.signs + (sign,), tuple(arcs), t.free_loops)
+
+
+def _ref_virtualize(t, idx):
+    v1, v2 = t.n_nodes, t.n_nodes + 1
+    rewire = {(idx, NW): (v1, NW), (idx, SW): (v1, SW), (idx, NE): (v2, NE), (idx, SE): (v2, SE)}
+    arcs = [tuple(rewire.get(ep, ep) for ep in arc) for arc in t.arcs]
+    arcs += [((v1, NE), (idx, NW)), ((v1, SE), (idx, SW)),
+             ((idx, NE), (v2, NW)), ((idx, SE), (v2, SW))]
+    return TangleDiagram(t.signs + (VIRTUAL, VIRTUAL), tuple(arcs), t.free_loops)
+
+
+@st.composite
+def small_port_graphs(draw):
+    """Random signs, a random perfect matching of the ports and the four
+    endpoints (arcs between two ports of one node allowed), up to two free
+    loops; at most 8 nodes."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    signs = draw(st.lists(st.sampled_from((-1, VIRTUAL, 1)), min_size=n, max_size=n))
+    ends = [(j, s) for j in range(n) for s in COMPASS] + [(BOUNDARY, c) for c in COMPASS]
+    ends = draw(st.permutations(ends))
+    arcs = tuple((ends[k], ends[k + 1]) for k in range(0, len(ends), 2))
+    return TangleDiagram(tuple(signs), arcs, draw(st.integers(min_value=0, max_value=2)))
+
+
+def _same(got, want):
+    assert got == want
+    assert (got.arcs, got.free_loops) == (want.arcs, want.free_loops)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_port_graphs(), small_port_graphs())
+def test_moves_match_arc_level_references(t, s):
+    for op in (PLUS, STAR):
+        _same(combine(t, s, op), _ref_combine(t, s, op))
+    _same(rotate_pi(t), _ref_rotate_pi(t))
+    for endpoint in COMPASS:
+        for sign in (1, -1):
+            _same(insert_kink(t, endpoint, sign), _ref_insert_kink(t, endpoint, sign))
+    for idx in t.classical_indices:
+        _same(virtualize_crossing(t, idx), _ref_virtualize(t, idx))
+
+
+def test_glue_closes_a_loop():
+    # t joins NE to SE and s joins NW to SW, so the two glue junctions of
+    # the sum close one loop between them
+    b = BOUNDARY
+    t = TangleDiagram((), (((b, NW), (b, SW)), ((b, NE), (b, SE))), 1)
+    s = TangleDiagram((), (((b, NW), (b, SW)), ((b, NE), (b, SE))))
+    got = combine(t, s, PLUS)
+    _same(got, _ref_combine(t, s, PLUS))
+    assert got.free_loops == 2
+    assert got.arcs == (((b, NW), (b, SW)), ((b, NE), (b, SE)))
+    # with a crossing on either side the strands pass the junctions instead
+    one = elementary(1, 0)
+    for op in (PLUS, STAR):
+        _same(combine(one, t, op), _ref_combine(one, t, op))
+        _same(combine(t, one, op), _ref_combine(t, one, op))
+
+
+def _suite_family(d, i):
+    """The diagrams the invariance and ratio suites build from sample i."""
+    out = [d]
+    for kind in FLYPE_KINDS:
+        out += flype_pair(d, kind, 1 if i % 2 == 0 or kind == "virtual" else -1)
+    out += [insert_kink(d, COMPASS[i % 4], 1), insert_kink(d, COMPASS[(i + 2) % 4], -1)]
+    if d.classical_indices:
+        out.append(virtualize_crossing(d, d.classical_indices[i % len(d.classical_indices)]))
+    vc = elementary(0, 1, HORIZONTAL)
+    out += [combine(d, vc, PLUS), combine(d, vc, STAR)]
+    return out
+
+
+def test_arcs_round_trip_on_suite_diagrams():
+    rng = random.Random(0)
+    for seed in range(10):
+        for max_classical in (10, 8):  # invariance, ratio
+            samples = sample_diagrams(random.Random(seed), 100, max_classical)
+            for i, base in enumerate(samples):
+                for d in _suite_family(base, i):
+                    again = TangleDiagram(d.signs, d.arcs, d.free_loops)
+                    assert again == d and hash(again) == hash(d)
+                    arcs = [arc[::-1] if rng.random() < 0.5 else arc for arc in d.arcs]
+                    rng.shuffle(arcs)
+                    assert TangleDiagram(d.signs, tuple(arcs), d.free_loops) == d
