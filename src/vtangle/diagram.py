@@ -49,6 +49,7 @@ class TangleDiagram:
     free_loops: int
 
     def __init__(self, signs, arcs, free_loops: int = 0):
+        signs = tuple(signs)
         bb = 4 * len(signs)
         link = [-1] * (bb + 4)
         present = 0
@@ -305,8 +306,8 @@ def insert_kink(t: TangleDiagram, endpoint: int, sign: int) -> TangleDiagram:
     if sign not in (1, -1):
         raise ValueError("kink sign must be +1 or -1")
     k = 4 * t.n_nodes
-    # the endpoint's arc now ends at the new node's NW port, which takes the
-    # old endpoint's port number; the other endpoints move up by one node
+    # the endpoint's arc now ends at the new node's NW port, and the four
+    # endpoints move up past the new node's ports
     new = [*range(k), *range(k + 4, k + 8)]
     new[k + endpoint] = k + NW
     arcs = ((k + NE, k + 4 + endpoint), (k + SE, k + SW))

@@ -199,6 +199,14 @@ def test_elementary_is_the_twist_word_chain():
     assert elementary(0, 0, VERTICAL) == TangleDiagram((), (((b, NW), (b, SW)), ((b, NE), (b, SE))))
 
 
+def test_signs_given_as_a_list_are_stored_as_a_tuple():
+    b = BOUNDARY
+    d = TangleDiagram([1], (((b, NW), (0, NW)), ((b, SW), (0, SW)),
+                            ((0, NE), (b, NE)), ((0, SE), (b, SE))))
+    assert d == elementary(1, 0) and hash(d) == hash(elementary(1, 0))
+    assert combine(d, elementary(1, 0), PLUS) == elementary(2, 0)
+
+
 _B = BOUNDARY
 
 
