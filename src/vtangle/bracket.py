@@ -14,11 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .cyclotomic import eval_at_zeta8
 from .diagram import (
     COMPASS,
     HORIZONTAL,
     NE,
     NW,
+    PLUS,
     SE,
     SW,
     VERTICAL,
@@ -500,6 +502,31 @@ def bracket_vector(vec: TangleVector) -> BracketTriple:
     length instead of 2^N in the classical crossings.
     """
     return fold_basic(vec, bracket_elementary, combine_triples)
+
+
+@lru_cache(maxsize=None)
+def _elementary_at_zeta8(n: int, eps: int, axis: str) -> tuple:
+    """(f, g, h) of bracket_elementary(n, eps, axis) at A = zeta_8."""
+    t = bracket_elementary(n, eps, axis)
+    return eval_at_zeta8(t.f), eval_at_zeta8(t.g), eval_at_zeta8(t.h)
+
+
+def _combine_at_zeta8(t: tuple, s: tuple, op: str) -> tuple:
+    """combine_triples on (f, g, h) values at A = zeta_8.  The loop factor
+    -A^2 - A^-2 vanishes there, so its terms drop out and each combination
+    takes six products."""
+    tf, tg, th = t
+    sf, sg, sh = s
+    if op == PLUS:
+        return tf * (sg + sh) + (tg + th) * sf, tg * sg + th * sh, tg * sh + th * sg
+    return tf * sf + th * sh, (tf + th) * sg + tg * (sf + sh), tf * sh + th * sf
+
+
+def bracket_vector_at_zeta8(vec: TangleVector) -> tuple:
+    """(f, g, h) of bracket_vector(vec) evaluated at A = zeta_8, as Cyc8
+    values.  The fold runs in Q(zeta_8) from the start, so no polynomial is
+    built and the values stay the size of the conductance's."""
+    return fold_basic(vec, _elementary_at_zeta8, _combine_at_zeta8)
 
 
 TRIPLE_H = BracketTriple(ZERO, ONE, ZERO)  # trivial horizontal tangle

@@ -77,15 +77,17 @@ def _parse_vector_arg(text: str):
 
 
 def _envelope_arg(text: str):
-    """(Envelope, None) on success, (None, exit code) after reporting."""
-    try:
-        # A count other than two fails the unpacking with ValueError too.
-        n_max, a_max = map(int, text.split(","))
-    except ValueError:
-        n_max = a_max = -1
-    if n_max < 1 or a_max < 0:
-        return None, _fail({"error": f"bad envelope {text!r}, expected n_max,a_max"}, EXIT_PARSE)
-    return Envelope(n_max, a_max), None
+    """(Envelope, None) on success, (None, exit code) after reporting.
+
+    Each bound is ASCII digits, with the whitespace a vector entry may have
+    around it; int() alone would also take "1_0" and non-ASCII digits.
+    """
+    bounds = [part.strip() for part in text.split(",")]
+    if len(bounds) == 2 and all(b.isascii() and b.isdigit() for b in bounds):
+        n_max, a_max = map(int, bounds)
+        if n_max >= 1:
+            return Envelope(n_max, a_max), None
+    return None, _fail({"error": f"bad envelope {text!r}, expected n_max,a_max"}, EXIT_PARSE)
 
 
 def cmd_bracket(args) -> int:
@@ -212,55 +214,77 @@ def _csv_records(records) -> str:
 
 
 # One record as json.dumps(record.as_dict(), indent=2) prints it at the
-# depth of the survey document's "records" list.
-_RECORD_JSON = (
-    "    {{\n"
-    '      "vector": {},\n'
-    '      "conductance": {},\n'
-    '      "is_real": {},\n'
-    '      "bucket_id": {},\n'
-    '      "provenance": {}\n'
-    "    }}"
-)
+# depth of the survey document's "records" list is _RECORD_HEAD, the
+# vector's text, then the text _record_tail fills from the record's bucket
+# and provenance.
+_RECORD_HEAD = '    {\n      "vector": '
 _json_str = json.encoder.encode_basestring_ascii
 
 
-def _record_json(rec, conductance: str) -> str:
-    """One record's text from _RECORD_JSON; conductance is its value's text,
+def _record_tail(rec, conductance: str) -> str:
+    """The text of rec after its vector; conductance is its value's text,
     already JSON-encoded."""
-    return _RECORD_JSON.format(
-        _json_str(rec.vector),
-        conductance,
-        "true" if rec.is_real else "false",
-        rec.bucket_id,
-        _json_str(rec.provenance),
+    return (
+        f',\n      "conductance": {conductance},\n'
+        f'      "is_real": {"true" if rec.is_real else "false"},\n'
+        f'      "bucket_id": {rec.bucket_id},\n'
+        f'      "provenance": {_json_str(rec.provenance)}\n'
+        "    }"
     )
+
+
+def _record_json(rec, conductance: str) -> str:
+    """One record's text; conductance is its value's text, already
+    JSON-encoded."""
+    return _RECORD_HEAD + _json_str(rec.vector) + _record_tail(rec, conductance)
+
+
+def _collisions_json(collisions) -> str:
+    """The summary's collisions as json.dumps(indent=2) prints them at their
+    depth in the survey document.  A collision has two or more vectors."""
+    if not collisions:
+        return "[]"
+    items = (
+        '      {\n        "conductance": '
+        + _json_str(c["conductance"])
+        + ',\n        "vectors": [\n          '
+        + ",\n          ".join(map(_json_str, c["vectors"]))
+        + "\n        ]\n      }"
+        for c in collisions
+    )
+    return "[\n" + ",\n".join(items) + "\n    ]"
 
 
 def _survey_json(summary: dict, records):
     """The enumerate JSON document, byte for byte what json.dumps(indent=2)
     prints for {"summary": ..., "records": [...]}, as one text chunk per
     record after the summary, so no string of the whole document is ever
-    built.  A bucket's records share one value, which is encoded once.
+    built.  The records of one survey bucket share their value, so the text
+    after a record's vector is built once per bucket and provenance.
 
     A one-record chunk is small enough for the interpreter's small-object
     allocator.  Chunks of many records are C-heap blocks; a writer that
     keeps its chunks until the end (io.StringIO does on CPython 3.11) then
     fragments the heap differently from run to run, and peak memory varied
     by a copy of the document."""
-    head = json.dumps({"summary": summary, "records": []}, indent=2)
+    # The first '"collisions": []' is the key: keys before it have no
+    # string values, and a quote inside a string is escaped.
+    head = json.dumps(
+        {"summary": {**summary, "collisions": []}, "records": []}, indent=2
+    ).replace('"collisions": []', '"collisions": ' + _collisions_json(summary["collisions"]), 1)
     if not records:
         yield head + "\n"
         return
     yield head[: -len("]\n}")] + "\n"
-    values = {}
-    sep = ""
+    tails = {}
+    sep = _RECORD_HEAD
     for rec in records:
-        value = values.get(rec.bucket_id)
-        if value is None:
-            value = values[rec.bucket_id] = _json_str(str(rec.conductance))
-        yield sep + _record_json(rec, value)
-        sep = ",\n"
+        key = (rec.bucket_id, rec.provenance)
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = _record_tail(rec, _json_str(str(rec.conductance)))
+        yield sep + _json_str(rec.vector) + tail
+        sep = ",\n" + _RECORD_HEAD
     yield "\n  ]\n}\n"
 
 

@@ -12,8 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .bracket import BracketTriple, bracket_contract, bracket_vector, combine_triples
-from .cyclotomic import C_I, eval_at_zeta8
+from .bracket import (  # noqa: F401  (bracket_vector stays importable here)
+    BracketTriple,
+    bracket_contract,
+    bracket_vector,
+    bracket_vector_at_zeta8,
+    combine_triples,
+)
+from .cyclotomic import C_I, Cyc8, eval_at_zeta8
 from .diagram import HORIZONTAL, PLUS, STAR, TangleDiagram, combine, elementary
 from .errors import (
     DivisorZeroError,
@@ -43,8 +49,18 @@ class ConductanceValue:
 def conductance_from_bracket(t: BracketTriple) -> GaussRational:
     """i * (f+h)/(g+h) at A = zeta_8; infinite when only the denominator
     vanishes, indeterminate when both do, loud when outside Q(i)."""
-    num = eval_at_zeta8(t.f + t.h)
-    den = eval_at_zeta8(t.g + t.h)
+    return _conductance_at_zeta8(eval_at_zeta8(t.f + t.h), eval_at_zeta8(t.g + t.h))
+
+
+def _conductance_folded(vec: TangleVector) -> GaussRational:
+    """conductance_from_bracket(bracket_vector(vec)), from the bracket's
+    values at A = zeta_8 folded without polynomials."""
+    f, g, h = bracket_vector_at_zeta8(vec)
+    return _conductance_at_zeta8(f + h, g + h)
+
+
+def _conductance_at_zeta8(num: Cyc8, den: Cyc8) -> GaussRational:
+    """i * num/den for the values of f+h and g+h at A = zeta_8."""
     if den.is_zero():
         if num.is_zero():
             raise IndeterminateError(
@@ -98,10 +114,12 @@ def _track_start(entry):
     return GaussRational(a, e), GaussRational(a, 1 - e)
 
 
-def _track_value(k, a, bit, prev_c, prev_d, inf_base):
-    """One step of the two-track recursion: the conductance of the prefix
-    (prev_c, flipped value prev_d) extended by entry k + 1 = (a, bit),
-    horizontal when k is even.  inf_base says the first entry is INF.
+def _track_base(k, bit, prev_c, prev_d, inf_base):
+    """The part of one step of the two-track recursion that does not read
+    the twist count: for entry k + 1 with marker bit after the prefix
+    (prev_c, flipped value prev_d), the value _track_value adds the twist
+    count to.  Entry k + 1 is horizontal when k is even; inf_base says the
+    first entry is INF.
 
     Raises DivisorZeroError, naming entry k + 1, when the entry is marked and
     the virtual-twist divisor prev_c * i / prev_d is undefined or prev_d is
@@ -118,16 +136,22 @@ def _track_value(k, a, bit, prev_c, prev_d, inf_base):
             inner = prev_c.mul_i() / prev_d
         except IndeterminateError as exc:
             raise DivisorZeroError(k + 1, str(exc)) from exc
+    return inner if k % 2 == 0 else inner.invert()
+
+
+def _track_value(k, a, base):
+    """The rest of the step: the conductance of the prefix extended by entry
+    k + 1 with twist count a, from that entry's _track_base."""
     if k % 2 == 0:
-        return GaussRational(a, 0) + inner
-    return (GaussRational(a, 0) + inner.invert()).invert()
+        return base.add_int(a)
+    return base.add_int(a).invert()
 
 
 def _prefix_track(entries):
     """C_k for every prefix, and D_k (the prefix with its last marker
     flipped) for every prefix that a later entry extends, computed left to
-    right in one pass of _track_value.  Only entry k+1 reads D_k, so the
-    loop computes no D for the last entry.
+    right in one pass of _track_base and _track_value.  Only entry k+1 reads
+    D_k, so the loop computes no D for the last entry.
 
     D_k is None when its own divisor was degenerate; it is only an error if
     a later entry actually needs it (DivisorZeroError identifies the entry).
@@ -138,10 +162,10 @@ def _prefix_track(entries):
     cs, ds = [c], [d]
     for k in range(1, len(entries)):
         a, e = entries[k]
-        cs.append(_track_value(k, a, e, c, d, inf_base))
+        cs.append(_track_value(k, a, _track_base(k, e, c, d, inf_base)))
         if k < last:
             try:
-                d = _track_value(k, a, 1 - e, c, d, inf_base)
+                d = _track_value(k, a, _track_base(k, 1 - e, c, d, inf_base))
             except DivisorZeroError:
                 d = None
             ds.append(d)
@@ -320,8 +344,9 @@ def ratio_identity(d: TangleDiagram):
 @dataclass(frozen=True)
 class Route:
     """One conductance route.  run(vec, triple) gives its value, where
-    triple is the vector's bracket (only the state sum reads it); applies(vec)
-    says whether conductance_paths runs it on a normalized vector."""
+    triple is the vector's bracket or None (only the state sum reads it, and
+    without one folds the bracket's values at A = zeta_8); applies(vec) says
+    whether conductance_paths runs it on a normalized vector."""
 
     run: Callable
     applies: Callable = lambda vec: True
@@ -330,7 +355,11 @@ class Route:
 # The routes in report order.  The entries call the route functions by their
 # module-level names, so a wrapper bound to such a name sees every call.
 ROUTES = {
-    PATH_STATE_SUM: Route(lambda vec, triple: conductance_from_bracket(triple)),
+    PATH_STATE_SUM: Route(
+        lambda vec, triple: _conductance_folded(vec)
+        if triple is None
+        else conductance_from_bracket(triple)
+    ),
     PATH_RECURSION: Route(lambda vec, triple: conductance_recursive(vec)),
     PATH_FRACTION: Route(lambda vec, triple: continued_fraction_C(vec)),
     PATH_CLOSED: Route(
@@ -347,14 +376,13 @@ def conductance_paths(vec: TangleVector, triple: BracketTriple | None = None):
     """Every applicable route for one vector, in ROUTES order.
 
     The state-sum route evaluates the vector's bracket, folded through the
-    tangle algebra; a caller that already holds it passes it as triple.
+    tangle algebra; a caller that already holds it passes it as triple, and
+    without one the fold runs on the bracket's values at A = zeta_8.
     Returns (values, errors): values maps a provenance label to a
     ConductanceValue, errors maps a label to the TangleError it raised.
     """
     vec = vec.normalized()
     vec.validate()
-    if triple is None:
-        triple = bracket_vector(vec)
     values = {}
     errors = {}
     for label, route in ROUTES.items():

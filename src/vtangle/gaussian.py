@@ -87,6 +87,12 @@ class GaussRational:
             raise IndeterminateError("inf + inf is undefined")
         return _canon(a * f + c * d, b * f + e * d, d * f)
 
+    def add_int(self, n: int) -> "GaussRational":
+        """self + n for an integer n (infinity is fixed).  No reduction is
+        needed: gcd(a + n*d, b, d) == gcd(a, b, d) == 1."""
+        a, b, d = self._v
+        return _raw(a + n * d, b, d) if d else INFINITY
+
     def __neg__(self) -> "GaussRational":
         a, b, d = self._v
         return _raw(-a, -b, d) if d else INFINITY

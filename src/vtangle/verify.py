@@ -8,7 +8,7 @@ passes.  All sampling is seeded and all iteration orders are deterministic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .bracket import bracket_contract, bracket_vector
 from .conductance import (
@@ -16,6 +16,8 @@ from .conductance import (
     DISAGREE,
     PATH_RECURSION,
     PATH_STATE_SUM,
+    _conductance_folded,
+    _track_base,
     _track_start,
     _track_value,
     additivity_identity,
@@ -67,7 +69,7 @@ class CheckReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnumerationRecord:
     """One classified vector: its conductance, realness, and value bucket."""
 
@@ -85,6 +87,23 @@ class EnumerationRecord:
             "bucket_id": self.bucket_id,
             "provenance": self.provenance,
         }
+
+
+_SET_VECTOR, _SET_CONDUCTANCE, _SET_IS_REAL, _SET_BUCKET_ID, _SET_PROVENANCE = (
+    getattr(EnumerationRecord, f.name).__set__ for f in fields(EnumerationRecord)
+)
+
+
+def _record(vector, conductance, is_real, bucket_id, provenance) -> EnumerationRecord:
+    """EnumerationRecord(...) without the frozen __init__'s call through
+    object.__setattr__ per field; the survey builds one per vector."""
+    rec = object.__new__(EnumerationRecord)
+    _SET_VECTOR(rec, vector)
+    _SET_CONDUCTANCE(rec, conductance)
+    _SET_IS_REAL(rec, is_real)
+    _SET_BUCKET_ID(rec, bucket_id)
+    _SET_PROVENANCE(rec, provenance)
+    return rec
 
 
 @dataclass(frozen=True)
@@ -155,35 +174,51 @@ def _track_walk(env: Envelope):
     C is conductance_recursive's value and error what it raises instead.
 
     Each node carries its prefix's C and flipped value D from _track_value,
-    and the first error, which every extension inherits; a vector costs one
-    recursion step, plus one for D when the walk extends it.
+    and the first error, which every extension inherits.  The part of a step
+    that does not read the twist count (_track_base: the divisor, the
+    reciprocal on a vertical step) is computed at most once per node and
+    marker and shared by the node's children, so a vector costs one
+    _track_value, plus one for D when the walk extends it.
     """
     def root(entry):
         a, e = entry
         c, d = _track_start(entry)
-        return (entry,), f"{'inf' if a is INF else a}{'v' if e else ''}", c, d, None
+        text = f"{'inf' if a is INF else a}{'v' if e else ''}"
+        return (entry,), text, c, d, None, [None, None]
+
+    def base(node, k, bit):
+        """node's _track_base for marker bit, or the DivisorZeroError it
+        raises; computed on first use and kept in the node."""
+        entries, _, c, d, _, bases = node
+        try:
+            b = _track_base(k, bit, c, d, entries[0][0] is INF)
+        except DivisorZeroError as exc:
+            b = exc
+        bases[bit] = b
+        return b
 
     def child(node, k, entry, extend):
-        entries, text, c, d, error = node
+        entries, text, _, _, error, bases = node
         entries = entries + (entry,)
         a, e = entry
         text = f"{text},{a}v" if e else f"{text},{a}"
         if error is not None:
-            return entries, text, None, None, error
-        inf_base = entries[0][0] is INF
-        try:
-            grown = _track_value(k, a, e, c, d, inf_base)
-        except TangleError as exc:
-            return entries, text, None, None, exc
-        flipped = None
-        if extend:
-            try:
-                flipped = _track_value(k, a, 1 - e, c, d, inf_base)
-            except DivisorZeroError:
-                pass
-        return entries, text, grown, flipped, None
+            return entries, text, None, None, error, None
+        b = bases[e]
+        if b is None:
+            b = base(node, k, e)
+        if isinstance(b, DivisorZeroError):
+            return entries, text, None, None, b, None
+        grown = _track_value(k, a, b)
+        if not extend:
+            return entries, text, grown, None, None, None
+        b = bases[1 - e]
+        if b is None:
+            b = base(node, k, 1 - e)
+        flipped = None if isinstance(b, DivisorZeroError) else _track_value(k, a, b)
+        return entries, text, grown, flipped, None, [None, None]
 
-    for entries, text, c, _, error in _walk(env, root, child):
+    for entries, text, c, _, error, _ in _walk(env, root, child):
         yield entries, text, c, error
 
 
@@ -523,12 +558,12 @@ def enumerate_classify(env: Envelope, sink=None):
     classical vector in the same bucket), formula degeneracies recovered via
     the state sum, and any remaining findings.  Infinity counts as a real
     (classical) value.  Each value is the recursion's, read off one
-    prefix-shared walk of the envelope.
+    prefix-shared walk of the envelope.  Where the recursion is degenerate,
+    the value is the state-sum route's: the vector's bracket folded through
+    the tangle algebra at A = zeta_8 (bracket_vector_at_zeta8).
     """
     records = []
-    bucket_of = {}
-    values = []
-    members = []
+    buckets = {}  # value -> (bucket id, value, is_real, member texts)
     real = {}
     real_virtual = []
     degenerate = []
@@ -537,7 +572,7 @@ def enumerate_classify(env: Envelope, sink=None):
         provenance = PATH_RECURSION
         if exc is not None:
             try:
-                value = conductance_from_bracket(bracket_vector(TangleVector(entries)))
+                value = _conductance_folded(TangleVector(entries))
                 provenance = PATH_STATE_SUM
                 degenerate.append(
                     {
@@ -552,19 +587,19 @@ def enumerate_classify(env: Envelope, sink=None):
                     {"vector": text, "kind": "no-value", "error": f"{exc}; {exc2}"}
                 )
                 continue
-        bid = bucket_of.get(value)
-        if bid is None:
-            bid = bucket_of[value] = len(members)
-            values.append(value)
-            members.append([])
-        value = values[bid]  # one value object per bucket, shared by its records
-        rec = EnumerationRecord(text, value, value.is_real, bid, provenance)
-        members[bid].append(text)
-        if rec.is_real:
+        bucket = buckets.get(value)
+        if bucket is None:
+            bucket = buckets[value] = (len(buckets), value, value.is_real, [])
+        # one value object per bucket, shared by its records
+        bid, value, is_real, texts = bucket
+        rec = _record(text, value, is_real, bid, provenance)
+        texts.append(text)
+        if is_real:
             real.setdefault(bid, []).append(TangleVector(entries))
         records.append(rec)
         if sink is not None:
             sink(rec)
+    values = list(buckets)
     for bid, vs in real.items():
         value = values[bid]
         classical_match = next((str(v) for v in vs if v.classical), None)
@@ -593,14 +628,14 @@ def enumerate_classify(env: Envelope, sink=None):
             real_virtual.append(entry)
     collisions = [
         {"conductance": str(value), "vectors": texts}
-        for value, texts in zip(values, members)
+        for _, value, _, texts in buckets.values()
         if len(texts) > 1
     ]
     collisions.sort(key=lambda c: c["conductance"])
     summary = {
         "envelope": env.as_dict(),
         "vectors": len(records),
-        "buckets": len(members),
+        "buckets": len(buckets),
         "collisions": collisions,
         "real_virtual": real_virtual,
         "formula_degenerate": degenerate,

@@ -135,6 +135,21 @@ def test_verify_bad_envelope(capsys):
             }
 
 
+def test_envelope_bounds_are_ascii_digits(capsys):
+    # int() takes these; each would otherwise run a survey
+    for text in ("1_0,0", "\uff12,1", "2,\uff11", "+2,1", "2,1.0", "2,0x1"):
+        for command in ("verify", "enumerate"):
+            code, out, err = run_cli(capsys, command, "--envelope", text)
+            assert (code, out) == (EXIT_PARSE, ""), (command, text)
+            assert json.loads(err) == {
+                "error": f"bad envelope {text!r}, expected n_max,a_max"
+            }
+    # the whitespace a vector entry may have around it is still accepted
+    code, out, _ = run_cli(capsys, "enumerate", "--envelope", " 2 ,\t1 ")
+    assert code == EXIT_OK
+    assert json.loads(out)["summary"]["envelope"]["n_max"] == 2
+
+
 def test_enumerate_json_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "enumerate", "--envelope", "2,1")
     code2, out2, _ = run_cli(capsys, "enumerate", "--envelope", "2,1")
@@ -182,6 +197,45 @@ def test_record_template_matches_json_dumps():
     assert '"records": []\n}\n' in "".join(vtangle.cli._survey_json(summary, []))
     # The summary, then one chunk per record, then the closing brackets.
     assert len(list(vtangle.cli._survey_json(summary, records))) == len(records) + 2
+
+
+def test_survey_json_matches_json_dumps_on_every_section():
+    env = Envelope(2, 1).as_dict()
+    odd = 'say "x" \\ \u00e9\u2212\U0001d11e'
+    empty = {
+        "envelope": env,
+        "vectors": 0,
+        "buckets": 0,
+        "collisions": [],
+        "real_virtual": [],
+        "formula_degenerate": [],
+        "findings": [],
+    }
+    filled = {
+        "envelope": env,
+        "vectors": 3,
+        "buckets": 2,
+        "collisions": [
+            {"conductance": "1/1 + 0/1*i", "vectors": ["1", "inf,1", odd]},
+            {"conductance": odd, "vectors": ["2v", "0v,2"]},
+        ],
+        "real_virtual": [{"vector": "1v,0v,1v", "conductance": "0/1 + 0/1*i", "explanation": odd}],
+        "formula_degenerate": [
+            {"vector": "0,1,2v", "error": odd, "conductance": "inf", "provenance": "state-sum"}
+        ],
+        "findings": [{"vector": odd, "kind": "no-value", "error": odd}],
+    }
+    records = [
+        EnumerationRecord("1", GaussRational(1, 0), True, 0, "recursion"),
+        EnumerationRecord("2v", GaussRational(2, 1), False, 1, "state-sum"),
+        EnumerationRecord("0v,2", GaussRational(2, 1), False, 1, "state-sum"),
+        EnumerationRecord("inf,1", GaussRational(1, 0), True, 0, "recursion"),
+    ]
+    for summary in (empty, filled):
+        for recs in (records, []):
+            doc = {"summary": summary, "records": [r.as_dict() for r in recs]}
+            text = "".join(vtangle.cli._survey_json(summary, recs))
+            assert text == json.dumps(doc, indent=2) + "\n"
 
 
 def test_out_writes_file(capsys, tmp_path):

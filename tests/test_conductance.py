@@ -1,10 +1,12 @@
 """Conductance routes: state sum, recursion, continued fraction, closed forms."""
 
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from vtangle.bracket import bracket
+from vtangle.bracket import bracket, bracket_vector, bracket_vector_at_zeta8
 from vtangle.conductance import (
     PATH_CLASSICAL,
     PATH_CLOSED,
@@ -13,6 +15,7 @@ from vtangle.conductance import (
     PATH_STATE_SUM,
     ROUTES,
     ConductanceValue,
+    _conductance_folded,
     additivity_identity,
     agree,
     classical_fraction,
@@ -23,12 +26,14 @@ from vtangle.conductance import (
     continued_fraction_C,
     ratio_identity,
 )
+from vtangle.cyclotomic import eval_at_zeta8
 from vtangle.diagram import build_basic
 from vtangle.errors import (
     DivisorZeroError,
     IndeterminateError,
     TangleError,
     UnsupportedPatternError,
+    VectorRuleError,
 )
 from vtangle.gaussian import G_I, INFINITY, GaussRational
 from vtangle.vector import INF, TangleVector, parse_vector
@@ -254,3 +259,51 @@ def test_error_types_are_tangle_errors():
     assert issubclass(DivisorZeroError, IndeterminateError)
     assert issubclass(IndeterminateError, TangleError)
     assert issubclass(UnsupportedPatternError, TangleError)
+
+
+def _outcome(fn, arg):
+    """("ok", value) or ("error", text) of one call."""
+    try:
+        return "ok", fn(arg)
+    except TangleError as exc:
+        return "error", str(exc)
+
+
+def _at_zeta8(t):
+    return eval_at_zeta8(t.f), eval_at_zeta8(t.g), eval_at_zeta8(t.h)
+
+
+fold_entries = st.tuples(st.integers(min_value=-5, max_value=5), st.integers(0, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans(), st.lists(fold_entries, min_size=1, max_size=7))
+@example(True, [(2, 1)])
+@example(True, [(2, 1), (-3, 0)])
+@example(False, [(0, 1), (2, 0), (1, 1), (-5, 1)])
+def test_value_fold_equals_polynomial_fold_at_zeta8(inf_first, es):
+    # inf first, both length parities, markers and negative entries
+    v = TangleVector((((INF, 0),) if inf_first else ()) + tuple(es))
+    try:
+        v.validate()
+    except VectorRuleError:
+        return
+    t = bracket_vector(v)
+    assert bracket_vector_at_zeta8(v) == _at_zeta8(t)
+    assert _outcome(_conductance_folded, v) == _outcome(conductance_from_bracket, t)
+
+
+def test_state_sum_route_folds_values_without_a_triple():
+    # 3,2v repeated: the polynomial fold takes seconds at 400 entries
+    v = parse_vector(",".join(["3", "2v"] * 50))
+    t = bracket_vector(v)
+    assert bracket_vector_at_zeta8(v) == _at_zeta8(t)
+    assert _conductance_folded(v) == conductance_from_bracket(t)
+    assert ROUTES[PATH_STATE_SUM].run(v, None) == conductance_from_bracket(t)
+    v = parse_vector(",".join(["3", "2v"] * 200))
+    t0 = time.monotonic()
+    values, errors = conductance_paths(v)
+    assert time.monotonic() - t0 < 1.0
+    assert not errors
+    assert list(values) == [PATH_STATE_SUM, PATH_RECURSION, PATH_FRACTION]
+    assert len({cv.value for cv in values.values()}) == 1

@@ -200,6 +200,7 @@ UNARY = [
     (lambda z: -z, ref_neg),
     (lambda z: z.invert(), ref_invert),
     (lambda z: z.mul_i(), ref_mul_i),
+    (lambda z: z.add_int(-3), lambda x: ref_add(x, (Fraction(-3), Fraction(0)))),
 ]
 
 
@@ -264,7 +265,7 @@ def test_parts_match_fraction_pair_reference(x):
     st.integers(min_value=-7, max_value=7).filter(bool),
 )
 def test_equal_values_hash_equally(x, k):
-    # the same value built four ways: from Fractions, from scaled integers
+    # the same value built five ways: from Fractions, from scaled integers
     # over a signed denominator, and through arithmetic
     re, im = x
     d = re.denominator * im.denominator * k
@@ -273,6 +274,7 @@ def test_equal_values_hash_equally(x, k):
         GaussRational.from_ints(int(re * d), int(im * d), d),
         (GaussRational(re, im) + G_I) - G_I,
         GaussRational(re, im).mul_i().mul_i().mul_i().mul_i(),
+        GaussRational(re, im).add_int(k).add_int(-k),
     ]
     assert all(w == ways[0] for w in ways)
     assert len({hash(w) for w in ways}) == 1

@@ -1,6 +1,10 @@
 """Verification suites: statuses, determinism, honest findings."""
 
+from collections import Counter
+from dataclasses import FrozenInstanceError
 from itertools import product
+
+import pytest
 
 import vtangle.conductance
 import vtangle.verify
@@ -11,6 +15,7 @@ from vtangle.verify import (
     STATUS_FAIL,
     STATUS_INDETERMINATE,
     STATUS_PASS,
+    EnumerationRecord,
     Envelope,
     enumerate_classify,
     iter_vectors,
@@ -100,6 +105,33 @@ def test_enumerate_pays_about_one_recursion_step_per_vector(monkeypatch):
     assert len(calls) <= 1.25 * vectors, len(calls) / vectors
 
 
+def test_walk_computes_one_base_per_node_and_marker(monkeypatch):
+    # The walk's nodes start with their prefix's entries; the base of a
+    # step is the part that the children of one node share.
+    parent = []
+    bases = Counter()
+    walk = vtangle.verify._walk
+    track_base = vtangle.verify._track_base
+
+    def tracking_walk(env, root, child):
+        def tracked(node, k, entry, extend):
+            parent[:] = [node[0]]
+            return child(node, k, entry, extend)
+
+        return walk(env, root, tracked)
+
+    def counting(k, bit, *rest):
+        bases[parent[0], bit] += 1
+        return track_base(k, bit, *rest)
+
+    monkeypatch.setattr(vtangle.verify, "_walk", tracking_walk)
+    monkeypatch.setattr(vtangle.verify, "_track_base", counting)
+    enumerate_classify(Envelope(3, 5))
+    assert max(bases.values()) == 1
+    assert {len(prefix) for prefix, _ in bases} == {1, 2}
+    assert {bit for _, bit in bases} == {0, 1}
+
+
 def test_equivalence_suite_statuses():
     reports = run_equivalence_suite(SMALL)
     assert reports, "suite must produce reports"
@@ -181,6 +213,18 @@ def test_enumerate_streams_to_sink():
     records, _ = enumerate_classify(SMALL, sink=seen.append)
     assert len(seen) == len(records)
     assert seen[0] is records[0]
+
+
+def test_survey_records_are_plain_frozen_records():
+    records, _ = enumerate_classify(SMALL)
+    for rec in records[:50]:
+        same = EnumerationRecord(
+            rec.vector, rec.conductance, rec.is_real, rec.bucket_id, rec.provenance
+        )
+        assert rec == same and hash(rec) == hash(same)
+        assert rec.as_dict() == same.as_dict()
+    with pytest.raises(FrozenInstanceError):
+        records[0].bucket_id = 1
 
 
 def test_figure_family_explanation_present():
