@@ -11,9 +11,9 @@ closed state loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._value import Value, setters
 from .cyclotomic import eval_at_zeta8
 from .diagram import (
     COMPASS,
@@ -36,13 +36,15 @@ PAIRING_V = "V"
 PAIRING_X = "X"
 
 
-@dataclass(frozen=True)
-class BracketTriple:
+class BracketTriple(Value):
     """Coefficients of the vertical, horizontal, and virtual pictures."""
 
-    f: LaurentPoly
-    g: LaurentPoly
-    h: LaurentPoly
+    __slots__ = ("f", "g", "h")
+
+    def __init__(self, f: LaurentPoly, g: LaurentPoly, h: LaurentPoly):
+        _SET_F(self, f)
+        _SET_G(self, g)
+        _SET_H(self, h)
 
     def scaled(self, p: LaurentPoly) -> "BracketTriple":
         return BracketTriple(self.f * p, self.g * p, self.h * p)
@@ -51,8 +53,7 @@ class BracketTriple:
         return {"f": str(self.f), "g": str(self.g), "h": str(self.h)}
 
 
-@dataclass(frozen=True)
-class StateResolution:
+class StateResolution(Value):
     """One state of the sum: its boundary pairing, loop count, and weight.
 
     Public, with resolve_state, because it is the one way to look at a
@@ -61,9 +62,16 @@ class StateResolution:
     can otherwise only be seen through a wrong triple.
     """
 
-    pairing: str
-    loops: int
-    weight: LaurentPoly
+    __slots__ = ("pairing", "loops", "weight")
+
+    def __init__(self, pairing: str, loops: int, weight: LaurentPoly):
+        _SET_PAIRING(self, pairing)
+        _SET_LOOPS(self, loops)
+        _SET_WEIGHT(self, weight)
+
+
+_SET_F, _SET_G, _SET_H = setters(BracketTriple)
+_SET_PAIRING, _SET_LOOPS, _SET_WEIGHT = setters(StateResolution)
 
 
 @lru_cache(maxsize=None)

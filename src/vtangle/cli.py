@@ -2,17 +2,19 @@
 emit JSON or CSV documents.
 
 Exit codes: 0 success, 2 parse error or an input the command does not take
-(a marked vector for the classical fraction), 3 computation error or
-finding, 4 verification failure (routes disagree or an identity check fails).
+(a marked vector for the classical fraction, a negative --samples), 3
+computation error or finding, 4 verification failure (routes disagree or an
+identity check fails), 141 (128 + SIGPIPE) when the reader of stdout closes
+it before the document is written, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
+import os
 import sys
 
 from .bracket import bracket, bracket_vector  # noqa: F401  (bracket stays importable here)
@@ -44,6 +46,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_COMPUTE = 3
 EXIT_VERIFY = 4
+EXIT_CLOSED_STDOUT = 141
 
 
 def _write(chunks, out=None) -> None:
@@ -174,6 +177,8 @@ def cmd_verify(args) -> int:
     env, code = _envelope_arg(args.envelope)
     if env is None:
         return code
+    if args.samples < 0:
+        return _fail({"error": f"bad sample count {args.samples}, expected 0 or more"}, EXIT_PARSE)
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
     reports = []
     for name in suites:
@@ -204,6 +209,7 @@ def cmd_verify(args) -> int:
 
 
 def _csv_records(records) -> str:
+    import csv
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["vector", "C-real", "C-imag", "is-real", "bucket-id"])
@@ -390,9 +396,18 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser().parse_args(_vectors_after_dashes(argv))
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
     except TangleError as exc:
         return _fail({"error": str(exc)}, EXIT_COMPUTE)
+    except BrokenPipeError:
+        # The reader of stdout is gone.  Pointing stdout at devnull keeps the
+        # interpreter's flush at exit from raising (and reporting) again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     except OSError as exc:
         return _fail({"error": str(exc)}, EXIT_COMPUTE)
 

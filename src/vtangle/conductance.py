@@ -9,9 +9,9 @@ consistency anchor for marker-free vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
+from ._value import Value, setters
 from .bracket import (  # noqa: F401  (bracket_vector stays importable here)
     BracketTriple,
     bracket_contract,
@@ -38,12 +38,17 @@ PATH_CLOSED = "closed-form"
 PATH_CLASSICAL = "classical-fraction"
 
 
-@dataclass(frozen=True)
-class ConductanceValue:
+class ConductanceValue(Value):
     """A conductance with the computation route that produced it."""
 
-    value: GaussRational
-    provenance: str
+    __slots__ = ("value", "provenance")
+
+    def __init__(self, value: GaussRational, provenance: str):
+        _SET_VALUE(self, value)
+        _SET_PROVENANCE(self, provenance)
+
+
+_SET_VALUE, _SET_PROVENANCE = setters(ConductanceValue)
 
 
 def conductance_from_bracket(t: BracketTriple) -> GaussRational:
@@ -341,15 +346,20 @@ def ratio_identity(d: TangleDiagram):
     )
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(Value):
     """One conductance route.  run(vec, triple) gives its value, where
     triple is the vector's bracket or None (only the state sum reads it, and
     without one folds the bracket's values at A = zeta_8); applies(vec) says
     whether conductance_paths runs it on a normalized vector."""
 
-    run: Callable
-    applies: Callable = lambda vec: True
+    __slots__ = ("run", "applies")
+
+    def __init__(self, run: Callable, applies: Callable = lambda vec: True):
+        _SET_RUN(self, run)
+        _SET_APPLIES(self, applies)
+
+
+_SET_RUN, _SET_APPLIES = setters(Route)
 
 
 # The routes in report order.  The entries call the route functions by their

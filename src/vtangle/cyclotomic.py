@@ -8,7 +8,6 @@ The Fraction coordinates c0..c3 are built only on request.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import InvariantError, NotGaussianError
@@ -27,13 +26,18 @@ class Cyc8:
     def __setattr__(self, name, value):
         raise AttributeError("Cyc8 is immutable")
 
-    c0 = property(lambda self: Fraction(self._v[0], self._v[4]))
-    c1 = property(lambda self: Fraction(self._v[1], self._v[4]))
-    c2 = property(lambda self: Fraction(self._v[2], self._v[4]))
-    c3 = property(lambda self: Fraction(self._v[3], self._v[4]))
+    def __reduce__(self):
+        return _raw, self._v
 
     def coords(self) -> tuple:
-        return (self.c0, self.c1, self.c2, self.c3)
+        from fractions import Fraction
+        *ns, d = self._v
+        return tuple(Fraction(n, d) for n in ns)
+
+    c0 = property(lambda self: self.coords()[0])
+    c1 = property(lambda self: self.coords()[1])
+    c2 = property(lambda self: self.coords()[2])
+    c3 = property(lambda self: self.coords()[3])
 
     def is_zero(self) -> bool:
         n0, n1, n2, n3, _ = self._v
@@ -135,14 +139,14 @@ class Cyc8:
         """Reinterpret as an element of Q(i); loud error if zeta coordinates remain."""
         n0, n1, n2, n3, d = self._v
         if n1 or n3:
-            raise NotGaussianError(self.c1, self.c3)
+            raise NotGaussianError(*self.coords()[1::2])
         return _gauss_raw(n0, n2, d)
 
     def __str__(self) -> str:
-        return f"{self.c0} + {self.c1}*z + {self.c2}*z^2 + {self.c3}*z^3"
+        return "{} + {}*z + {}*z^2 + {}*z^3".format(*self.coords())
 
     def __repr__(self) -> str:
-        return f"Cyc8({self.c0!r}, {self.c1!r}, {self.c2!r}, {self.c3!r})"
+        return "Cyc8({!r}, {!r}, {!r}, {!r})".format(*self.coords())
 
 
 _SET = Cyc8._v.__set__

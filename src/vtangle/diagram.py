@@ -18,9 +18,9 @@ stored sign, while a half turn preserves it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import eq, itemgetter
 
+from ._value import Value, setters
 from .errors import MixedSignError, VectorRuleError
 from .vector import INF, TangleVector
 
@@ -34,8 +34,7 @@ PLUS = "plus"
 STAR = "star"
 
 
-@dataclass(frozen=True, init=False)
-class TangleDiagram:
+class TangleDiagram(Value):
     """Immutable port graph: node signs, port array link, free loop count.
 
     TangleDiagram(signs, arcs, free_loops) takes the arcs as pairs of
@@ -44,9 +43,7 @@ class TangleDiagram:
     diagrams compare and hash equal without sorting.
     """
 
-    signs: tuple
-    link: tuple
-    free_loops: int
+    __slots__ = ("signs", "link", "free_loops")
 
     def __init__(self, signs, arcs, free_loops: int = 0):
         signs = tuple(signs)
@@ -121,14 +118,17 @@ class TangleDiagram:
         return len(self.classical_indices)
 
 
+_SET_SIGNS, _SET_LINK, _SET_FREE_LOOPS = setters(TangleDiagram)
+
+
 def _new(signs: tuple, link: tuple, free_loops: int, d=None) -> TangleDiagram:
     """The one place a diagram gets its fields: set them on d (a fresh
     diagram by default) and run the validator."""
     if d is None:
         d = object.__new__(TangleDiagram)
-    object.__setattr__(d, "signs", signs)
-    object.__setattr__(d, "link", link)
-    object.__setattr__(d, "free_loops", free_loops)
+    _SET_SIGNS(d, signs)
+    _SET_LINK(d, link)
+    _SET_FREE_LOOPS(d, free_loops)
     d.__post_init__()
     return d
 
@@ -314,19 +314,22 @@ def insert_kink(t: TangleDiagram, endpoint: int, sign: int) -> TangleDiagram:
     return _relabel(t, t.signs + (sign,), new, arcs)
 
 
-@dataclass(frozen=True)
-class TwistWord:
+class TwistWord(Value):
     """A twist region spelled letter by letter: +1, -1, or 0 (virtual)."""
 
-    letters: tuple
-    axis: str = field(default=HORIZONTAL)
+    __slots__ = ("letters", "axis")
 
-    def __post_init__(self):
-        for w in self.letters:
+    def __init__(self, letters: tuple, axis: str = HORIZONTAL):
+        for w in letters:
             if w not in (-1, 0, 1):
                 raise ValueError("twist letters are +1, -1, or 0 (virtual)")
-        if self.axis not in (HORIZONTAL, VERTICAL):
-            raise ValueError(f"unknown axis {self.axis!r}")
+        if axis not in (HORIZONTAL, VERTICAL):
+            raise ValueError(f"unknown axis {axis!r}")
+        _SET_LETTERS(self, letters)
+        _SET_AXIS(self, axis)
+
+
+_SET_LETTERS, _SET_AXIS = setters(TwistWord)
 
 
 def reduce_twist_region(word: TwistWord):

@@ -11,7 +11,6 @@ the point at infinity, (1, 0, 0).  Fraction parts are built only on request.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import IndeterminateError
@@ -28,6 +27,9 @@ class GaussRational:
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
+
+    def __reduce__(self):
+        return _raw, self._v
 
     @classmethod
     def infinity(cls) -> "GaussRational":
@@ -49,6 +51,7 @@ class GaussRational:
         a, _, d = self._v
         if not d:
             raise IndeterminateError("the point at infinity has no real part")
+        from fractions import Fraction
         return Fraction(a, d)
 
     @property
@@ -56,6 +59,7 @@ class GaussRational:
         _, b, d = self._v
         if not d:
             raise IndeterminateError("the point at infinity has no imaginary part")
+        from fractions import Fraction
         return Fraction(b, d)
 
     def is_zero(self) -> bool:
@@ -183,6 +187,9 @@ def _canon(a: int, b: int, d: int) -> GaussRational:
 def _over_one_denominator(values) -> tuple:
     """(n_1, ..., n_k, d) with values[j] == n_j/d, d the least common
     denominator; the integers then have no common factor."""
+    if all(type(x) is int for x in values):
+        return (*values, 1)
+    from fractions import Fraction
     fs = [Fraction(x) for x in values]
     d = lcm(*(f.denominator for f in fs))
     return tuple(f.numerator * (d // f.denominator) for f in fs) + (d,)

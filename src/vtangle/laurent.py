@@ -23,6 +23,9 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
+    def __reduce__(self):
+        return LaurentPoly, (self._terms,)
+
     @classmethod
     def zero(cls) -> "LaurentPoly":
         return cls()

@@ -9,8 +9,8 @@ crossing to its region.  The first entry may be the infinite placeholder INF
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
+from ._value import Value, setters
 from .errors import VectorRuleError, VectorSyntaxError
 
 _INT_RE = re.compile(r"[+-]?[0-9]+")
@@ -27,20 +27,25 @@ class _Infinity:
     def __str__(self):
         return "inf"
 
+    def __reduce__(self):
+        return "INF"  # pickle and copy keep the one instance
+
 
 INF = _Infinity()
 
 
-@dataclass(frozen=True)
-class TangleVector:
+class TangleVector(Value):
     """Entries (a, e) with a an int or INF and e in {0, 1}.
 
     first_is_horizontal fixes the axis convention for entry 1; vertical-first
     vectors normalize to the INF-prefixed horizontal-first form.
     """
 
-    entries: tuple
-    first_is_horizontal: bool = field(default=True)
+    __slots__ = ("entries", "first_is_horizontal")
+
+    def __init__(self, entries: tuple, first_is_horizontal: bool = True):
+        _SET_ENTRIES(self, entries)
+        _SET_FIRST_IS_HORIZONTAL(self, first_is_horizontal)
 
     @property
     def n(self) -> int:
@@ -101,6 +106,9 @@ class TangleVector:
 
     def __str__(self) -> str:
         return format_vector(self)
+
+
+_SET_ENTRIES, _SET_FIRST_IS_HORIZONTAL = setters(TangleVector)
 
 
 def format_vector(v: TangleVector) -> str:

@@ -8,8 +8,8 @@ passes.  All sampling is seeded and all iteration orders are deterministic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields
 
+from ._value import Value, setters
 from .bracket import bracket_contract, bracket_vector
 from .conductance import (
     DEGENERATE,
@@ -47,56 +47,47 @@ STATUS_INDETERMINATE = "indeterminate"
 STATUS_FINDING = "finding"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Value):
     """One verified instance: what was checked, on what, and how it went."""
 
-    name: str
-    instance: str
-    status: str
-    lhs: str = field(default="")
-    rhs: str = field(default="")
-    notes: str = field(default="")
+    __slots__ = ("name", "instance", "status", "lhs", "rhs", "notes")
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "instance": self.instance,
-            "status": self.status,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "notes": self.notes,
-        }
+    def __init__(self, name: str, instance: str, status: str,
+                 lhs: str = "", rhs: str = "", notes: str = ""):
+        _SET_NAME(self, name)
+        _SET_INSTANCE(self, instance)
+        _SET_STATUS(self, status)
+        _SET_LHS(self, lhs)
+        _SET_RHS(self, rhs)
+        _SET_NOTES(self, notes)
 
 
-@dataclass(frozen=True, slots=True)
-class EnumerationRecord:
+class EnumerationRecord(Value):
     """One classified vector: its conductance, realness, and value bucket."""
 
-    vector: str
-    conductance: GaussRational
-    is_real: bool
-    bucket_id: int
-    provenance: str
+    __slots__ = ("vector", "conductance", "is_real", "bucket_id", "provenance")
+
+    def __init__(self, vector: str, conductance: GaussRational, is_real: bool,
+                 bucket_id: int, provenance: str):
+        _SET_VECTOR(self, vector)
+        _SET_CONDUCTANCE(self, conductance)
+        _SET_IS_REAL(self, is_real)
+        _SET_BUCKET_ID(self, bucket_id)
+        _SET_PROVENANCE(self, provenance)
 
     def as_dict(self) -> dict:
-        return {
-            "vector": self.vector,
-            "conductance": str(self.conductance),
-            "is_real": self.is_real,
-            "bucket_id": self.bucket_id,
-            "provenance": self.provenance,
-        }
+        return {**Value.as_dict(self), "conductance": str(self.conductance)}
 
 
-_SET_VECTOR, _SET_CONDUCTANCE, _SET_IS_REAL, _SET_BUCKET_ID, _SET_PROVENANCE = (
-    getattr(EnumerationRecord, f.name).__set__ for f in fields(EnumerationRecord)
+_SET_NAME, _SET_INSTANCE, _SET_STATUS, _SET_LHS, _SET_RHS, _SET_NOTES = setters(CheckReport)
+_SET_VECTOR, _SET_CONDUCTANCE, _SET_IS_REAL, _SET_BUCKET_ID, _SET_PROVENANCE = setters(
+    EnumerationRecord
 )
 
 
 def _record(vector, conductance, is_real, bucket_id, provenance) -> EnumerationRecord:
-    """EnumerationRecord(...) without the frozen __init__'s call through
-    object.__setattr__ per field; the survey builds one per vector."""
+    """EnumerationRecord(...) without the type call; the survey builds one
+    per vector."""
     rec = object.__new__(EnumerationRecord)
     _SET_VECTOR(rec, vector)
     _SET_CONDUCTANCE(rec, conductance)
@@ -106,22 +97,20 @@ def _record(vector, conductance, is_real, bucket_id, provenance) -> EnumerationR
     return rec
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(Value):
     """Enumeration bounds: vector length and twist magnitude."""
 
-    n_max: int
-    a_max: int
-    include_inf: bool = field(default=True)
-    classical_only: bool = field(default=False)
+    __slots__ = ("n_max", "a_max", "include_inf", "classical_only")
 
-    def as_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "a_max": self.a_max,
-            "include_inf": self.include_inf,
-            "classical_only": self.classical_only,
-        }
+    def __init__(self, n_max: int, a_max: int, include_inf: bool = True,
+                 classical_only: bool = False):
+        _SET_N_MAX(self, n_max)
+        _SET_A_MAX(self, a_max)
+        _SET_INCLUDE_INF(self, include_inf)
+        _SET_CLASSICAL_ONLY(self, classical_only)
+
+
+_SET_N_MAX, _SET_A_MAX, _SET_INCLUDE_INF, _SET_CLASSICAL_ONLY = setters(Envelope)
 
 
 def _walk(env: Envelope, root, child):

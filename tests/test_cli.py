@@ -13,6 +13,7 @@ import pytest
 import vtangle.cli
 import vtangle.conductance
 from vtangle.cli import (
+    EXIT_CLOSED_STDOUT,
     EXIT_COMPUTE,
     EXIT_OK,
     EXIT_PARSE,
@@ -252,19 +253,65 @@ def test_unknown_subcommand_exits_2(capsys):
     assert exc.value.code == 2
 
 
-def test_python_m_vtangle_matches_main(capsys):
-    code, out, _ = run_cli(capsys, "bracket", "2,3")
+def _src_env() -> dict:
+    """The environment of a child interpreter that imports this vtangle."""
     src = str(Path(vtangle.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_m_vtangle_matches_main(capsys):
+    code, out, _ = run_cli(capsys, "bracket", "2,3")
     proc = subprocess.run(
         [sys.executable, "-m", "vtangle", "bracket", "2,3"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_src_env(),
         timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (code, out)
+
+
+def test_closed_stdout_exits_quietly():
+    # The survey is far larger than a pipe's buffer, so the CLI is still
+    # writing when the reader goes away.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vtangle", "enumerate", "--envelope", "3,3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_src_env(),
+    )
+    assert proc.stdout.read(10) == b'{\n  "summa'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == EXIT_CLOSED_STDOUT
+    assert err == b""
+
+
+def test_import_loads_no_module_the_commands_do_not_need():
+    # -S: no site hook may load these first and hide an import of them.
+    code = (
+        "import sys, vtangle.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal', 'csv'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_negative_sample_count_is_refused(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "ratio", "--samples", "-3")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert json.loads(err) == {"error": "bad sample count -3, expected 0 or more"}
+    code, out, _ = run_cli(capsys, "verify", "--suite", "ratio", "--samples", "0")
+    assert code == EXIT_OK
+    assert json.loads(out)["samples"] == 0 and json.loads(out)["checks"] == 0
 
 
 @pytest.mark.parametrize("argv", [("bracket", "200"), ("conductance", "12,12")])
