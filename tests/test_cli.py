@@ -284,9 +284,8 @@ def test_closed_stdout_exits_quietly():
     )
     assert proc.stdout.read(10) == b'{\n  "summa'
     proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == EXIT_CLOSED_STDOUT
-    assert err == b""
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (EXIT_CLOSED_STDOUT, b"")
 
 
 def test_import_loads_no_module_the_commands_do_not_need():
