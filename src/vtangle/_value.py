@@ -1,8 +1,7 @@
 """Immutable value classes: what a frozen dataclass gave, without its import.
 
 A subclass names its fields in __slots__ and sets them in its __init__
-through the slot setters that setters() returns.  == and hash are compiled
-for a class on first use, so importing compiles nothing.
+through the slot setters that setters() returns.
 """
 
 
@@ -11,33 +10,21 @@ def setters(cls) -> tuple:
     return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
-def _compile_compare(cls):
-    """Give cls the __eq__ and __hash__ of a frozen dataclass."""
-    mine = ", ".join(f"self.{name}" for name in cls.__slots__)
-    theirs = ", ".join(f"other.{name}" for name in cls.__slots__)
-    ns = {}
-    exec(
-        "def __eq__(self, other):\n"
-        "    if other.__class__ is self.__class__:\n"
-        f"        return ({mine},) == ({theirs},)\n"
-        "    return NotImplemented\n"
-        f"def __hash__(self):\n    return hash(({mine},))\n",
-        ns,
-    )
-    cls.__eq__, cls.__hash__ = ns["__eq__"], ns["__hash__"]
-    return cls
-
-
 class Value:
     """Immutable record, compared and hashed field by field."""
 
     __slots__ = ()
 
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
     def __eq__(self, other):
-        return _compile_compare(type(self)).__eq__(self, other)
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
 
     def __hash__(self):
-        return _compile_compare(type(self)).__hash__(self)
+        return hash(self._fields())
 
     def __repr__(self):
         fields = ", ".join(f"{k}={v!r}" for k, v in Value.as_dict(self).items())

@@ -3,16 +3,16 @@ emit JSON or CSV documents.
 
 Exit codes: 0 success, 2 parse error or an input the command does not take
 (a marked vector for the classical fraction, a negative --samples), 3
-computation error or finding, 4 verification failure (routes disagree or an
-identity check fails), 141 (128 + SIGPIPE) when the reader of stdout closes
-it before the document is written, with nothing on stderr.
+computation error, finding, or a failed write (reported once), 4
+verification failure (routes disagree or an identity check fails), 141
+(128 + SIGPIPE) when the reader of stdout closes it before the document is
+written, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import os
 import sys
@@ -71,7 +71,6 @@ def _parse_vector_arg(text: str):
     """(vector, None) on success, (None, exit code) after reporting."""
     try:
         vec = parse_vector(text)
-        vec.validate()
     except VectorSyntaxError as exc:
         return None, _fail({"error": str(exc), "offset": exc.offset}, EXIT_PARSE)
     except VectorRuleError as exc:
@@ -208,15 +207,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _csv_records(records) -> str:
+def _csv_records(records):
+    """The enumerate CSV document as one text chunk per row."""
     import csv
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["vector", "C-real", "C-imag", "is-real", "bucket-id"])
+    from types import SimpleNamespace
+    # writerow returns what its file's write returns: here the row's text
+    row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    yield row(["vector", "C-real", "C-imag", "is-real", "bucket-id"])
     for r in records:
         re_s, im_s = r.conductance.parts_text()
-        w.writerow([r.vector, re_s, im_s, "true" if r.is_real else "false", r.bucket_id])
-    return buf.getvalue()
+        yield row([r.vector, re_s, im_s, "true" if r.is_real else "false", r.bucket_id])
 
 
 # One record as json.dumps(record.as_dict(), indent=2) prints it at the
@@ -237,12 +237,6 @@ def _record_tail(rec, conductance: str) -> str:
         f'      "provenance": {_json_str(rec.provenance)}\n'
         "    }"
     )
-
-
-def _record_json(rec, conductance: str) -> str:
-    """One record's text; conductance is its value's text, already
-    JSON-encoded."""
-    return _RECORD_HEAD + _json_str(rec.vector) + _record_tail(rec, conductance)
 
 
 def _collisions_json(collisions) -> str:
@@ -300,7 +294,7 @@ def cmd_enumerate(args) -> int:
         return code
     records, summary = enumerate_classify(env)
     if args.format == "csv":
-        _write((_csv_records(records),), args.out)
+        _write(_csv_records(records), args.out)
         if summary["findings"]:
             sys.stderr.write(json.dumps({"findings": summary["findings"]}, indent=2) + "\n")
     else:
@@ -401,15 +395,17 @@ def main(argv=None) -> int:
         return code
     except TangleError as exc:
         return _fail({"error": str(exc)}, EXIT_COMPUTE)
-    except BrokenPipeError:
-        # The reader of stdout is gone.  Pointing stdout at devnull keeps the
-        # interpreter's flush at exit from raising (and reporting) again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_CLOSED_STDOUT
     except OSError as exc:
-        return _fail({"error": str(exc)}, EXIT_COMPUTE)
+        # A closed pipe means the reader of stdout is gone: nothing to report.
+        closed = isinstance(exc, BrokenPipeError)
+        code = EXIT_CLOSED_STDOUT if closed else _fail({"error": str(exc)}, EXIT_COMPUTE)
+        if closed or not args.out:
+            # stdout failed.  Pointing it at devnull keeps the interpreter's
+            # flush at exit from raising (and reporting) again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return code
 
 
 def run() -> None:

@@ -12,10 +12,9 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from ._value import Value, setters
-from .bracket import (  # noqa: F401  (bracket_vector stays importable here)
+from .bracket import (
     BracketTriple,
     bracket_contract,
-    bracket_vector,
     bracket_vector_at_zeta8,
     combine_triples,
 )
@@ -200,9 +199,9 @@ def continued_fraction_C(vec: TangleVector) -> GaussRational:
     (odd positions), with b_1 = i when the first entry is marked.  Prefix
     values come from the same linear pass as the recursion.
     """
-    vec = vec.extended_odd()
+    vec = vec.normalized()
     vec.validate()
-    entries = vec.entries
+    entries = vec.extended_odd().entries
     cs, ds = _prefix_track(entries)
     a0, e0 = entries[0]
     inf_base = a0 is INF
@@ -284,13 +283,11 @@ def closed_form(vec: TangleVector) -> GaussRational:
     denominator with vanishing numerator raises IndeterminateError.
     """
     vec = vec.normalized()
+    vec.validate()
     entries = vec.entries
     n = len(entries)
-    if n == 0 or n > 3:
+    if n > 3:
         raise UnsupportedPatternError(f"no closed form for length {n}")
-    for i, (a, e) in enumerate(entries):
-        if a is INF and i > 0:
-            raise VectorRuleError("inf is allowed only as the first entry", i + 1)
     if n == 1:
         a, e = entries[0]
         if a is INF:

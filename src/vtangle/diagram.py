@@ -21,7 +21,7 @@ from __future__ import annotations
 from operator import eq, itemgetter
 
 from ._value import Value, setters
-from .errors import MixedSignError, VectorRuleError
+from .errors import MixedSignError
 from .vector import INF, TangleVector
 
 NW, NE, SE, SW = 0, 1, 2, 3
@@ -216,8 +216,6 @@ def fold_basic(vec: TangleVector, leaf, join):
     vec = vec.normalized()
     vec.validate()
     entries = vec.entries
-    if not entries:
-        raise VectorRuleError("a tangle vector needs at least one entry", 1)
     a0, e0 = entries[0]
     if a0 is INF:
         t = leaf(0, 0, VERTICAL)
@@ -225,8 +223,6 @@ def fold_basic(vec: TangleVector, leaf, join):
         t = leaf(a0, e0, HORIZONTAL)
     for i in range(1, len(entries)):
         a, e = entries[i]
-        if a is INF:
-            raise VectorRuleError("inf is allowed only as the first entry", i + 1)
         if i % 2 == 1:
             t = join(t, leaf(a, e, VERTICAL), STAR)
         else:

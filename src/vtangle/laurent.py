@@ -18,7 +18,7 @@ class LaurentPoly:
             for e, c in terms.items():
                 if c:
                     clean[e] = c
-        object.__setattr__(self, "_terms", clean)
+        _SET(self, clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -69,14 +69,10 @@ class LaurentPoly:
                 out[e] = n
             else:
                 out.pop(e, None)
-        p = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(p, "_terms", out)
-        return p
+        return _raw(out)
 
     def __neg__(self) -> "LaurentPoly":
-        p = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(p, "_terms", {e: -c for e, c in self._terms.items()})
-        return p
+        return _raw({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -87,9 +83,7 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return LaurentPoly()
-            p = LaurentPoly.__new__(LaurentPoly)
-            object.__setattr__(p, "_terms", {e: c * other for e, c in self._terms.items()})
-            return p
+            return _raw({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out = {}
@@ -101,17 +95,13 @@ class LaurentPoly:
                     out[e] = n
                 else:
                     del out[e]
-        p = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(p, "_terms", out)
-        return p
+        return _raw(out)
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by the monomial A^k."""
-        p = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(p, "_terms", {e + k: c for e, c in self._terms.items()})
-        return p
+        return _raw({e + k: c for e, c in self._terms.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -150,6 +140,17 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self._terms!r})"
+
+
+_SET = LaurentPoly._terms.__set__
+_NEW = object.__new__
+
+
+def _raw(terms: dict) -> LaurentPoly:
+    """The polynomial with a term map that holds no zero coefficient."""
+    p = _NEW(LaurentPoly)
+    _SET(p, terms)
+    return p
 
 
 A = LaurentPoly.monomial(1)

@@ -85,6 +85,11 @@ _SET_VECTOR, _SET_CONDUCTANCE, _SET_IS_REAL, _SET_BUCKET_ID, _SET_PROVENANCE = s
 )
 
 
+def _row(name: str, instance: str, ok: bool, lhs: str, rhs: str, notes: str = "") -> CheckReport:
+    """The pass or fail row of one compared instance."""
+    return CheckReport(name, instance, STATUS_PASS if ok else STATUS_FAIL, lhs, rhs, notes)
+
+
 def _record(vector, conductance, is_real, bucket_id, provenance) -> EnumerationRecord:
     """EnumerationRecord(...) without the type call; the survey builds one
     per vector."""
@@ -222,68 +227,31 @@ def run_equivalence_suite(env: Envelope):
     """
     reports = []
     for v in iter_vectors(env):
-        inst = str(v)
         values, errors = conductance_paths(v)
         verdict, ordered, distinct = agree(values, errors)
         gaussian_problems = {
             p: e for p, e in errors.items() if isinstance(e, NotGaussianError)
         }
+        agreed = str(values[ordered[0]].value) if ordered else ""
+        lhs = rhs = ""
         if verdict == DISAGREE:
             (v1, p1), (v2, p2) = [(val, ps[0]) for val, ps in list(distinct.items())[:2]]
-            reports.append(
-                CheckReport(
-                    "conductance-equivalence",
-                    inst,
-                    STATUS_FAIL,
-                    f"{p1}={v1}",
-                    f"{p2}={v2}",
-                    "routes disagree: "
-                    + "; ".join(f"{p}={values[p].value}" for p in ordered),
-                )
-            )
+            status, lhs, rhs = STATUS_FAIL, f"{p1}={v1}", f"{p2}={v2}"
+            notes = "routes disagree: " + "; ".join(f"{p}={values[p].value}" for p in ordered)
         elif gaussian_problems:
-            reports.append(
-                CheckReport(
-                    "conductance-equivalence",
-                    inst,
-                    STATUS_FINDING,
-                    notes="; ".join(f"{p}: {e}" for p, e in gaussian_problems.items()),
-                )
-            )
+            status = STATUS_FINDING
+            notes = "; ".join(f"{p}: {e}" for p, e in gaussian_problems.items())
         elif verdict == DEGENERATE:
-            agreed = str(values[ordered[0]].value) if ordered else ""
-            reports.append(
-                CheckReport(
-                    "conductance-equivalence",
-                    inst,
-                    STATUS_INDETERMINATE,
-                    lhs=agreed,
-                    rhs=agreed,
-                    notes="; ".join(f"{p}: {e}" for p, e in sorted(errors.items()))
-                    + (f"; agreeing routes {','.join(ordered)}" if ordered else ""),
-                )
+            status, lhs, rhs = STATUS_INDETERMINATE, agreed, agreed
+            notes = "; ".join(f"{p}: {e}" for p, e in sorted(errors.items())) + (
+                f"; agreeing routes {','.join(ordered)}" if ordered else ""
             )
         elif len(ordered) < 2:
-            reports.append(
-                CheckReport(
-                    "conductance-equivalence",
-                    inst,
-                    STATUS_FINDING,
-                    notes="fewer than two routes available",
-                )
-            )
+            status, notes = STATUS_FINDING, "fewer than two routes available"
         else:
-            val = str(values[ordered[0]].value)
-            reports.append(
-                CheckReport(
-                    "conductance-equivalence",
-                    inst,
-                    STATUS_PASS,
-                    val,
-                    val,
-                    f"routes {','.join(ordered)}",
-                )
-            )
+            status, lhs, rhs = STATUS_PASS, agreed, agreed
+            notes = f"routes {','.join(ordered)}"
+        reports.append(CheckReport("conductance-equivalence", str(v), status, lhs, rhs, notes))
     return reports
 
 
@@ -330,33 +298,19 @@ _KINK_FACTOR = {
 }
 
 
-def _triple_eq(t, s) -> bool:
-    return t.f == s.f and t.g == s.g and t.h == s.h
-
-
-def run_invariance_suite(samples=None, seed: int = 0, count: int = 100,
-                         max_classical: int = 10):
+def run_invariance_suite(seed: int = 0, count: int = 100):
     """Flype, kink-factor, virtualization, and conductance-invariance checks
     on seeded diagrams, closed by a deliberately corrupted negative control."""
-    if samples is None:
-        samples = sample_diagrams(random.Random(seed), count, max_classical)
     reports = []
-    for i, d in enumerate(samples):
+    for i, d in enumerate(sample_diagrams(random.Random(seed), count)):
         inst = f"diagram[{i}]: {d.n_nodes} nodes, {d.n_classical} classical"
         base = bracket_contract(d)
         for kind in FLYPE_KINDS:
             sign = 1 if i % 2 == 0 else -1
             d1, d2 = flype_pair(d, kind, sign=sign if kind != "virtual" else 1)
             b1, b2 = bracket_contract(d1), bracket_contract(d2)
-            ok = _triple_eq(b1, b2)
             reports.append(
-                CheckReport(
-                    f"flype-{kind}",
-                    inst,
-                    STATUS_PASS if ok else STATUS_FAIL,
-                    str(b1.as_dict()),
-                    str(b2.as_dict()),
-                )
+                _row(f"flype-{kind}", inst, b1 == b2, str(b1.as_dict()), str(b2.as_dict()))
             )
         kink_pos_triple = None
         for sign, label in ((1, "pos"), (-1, "neg")):
@@ -365,52 +319,26 @@ def run_invariance_suite(samples=None, seed: int = 0, count: int = 100,
             if sign == 1:
                 kink_pos_triple = got
             want = base.scaled(_KINK_FACTOR[sign])
-            ok = _triple_eq(got, want)
             reports.append(
-                CheckReport(
-                    f"kink-factor-{label}",
-                    inst,
-                    STATUS_PASS if ok else STATUS_FAIL,
-                    str(got.as_dict()),
-                    str(want.as_dict()),
-                )
+                _row(f"kink-factor-{label}", inst, got == want, str(got.as_dict()),
+                     str(want.as_dict()))
             )
         if d.classical_indices:
             idx = d.classical_indices[i % len(d.classical_indices)]
             got = bracket_contract(virtualize_crossing(d, idx))
-            ok = _triple_eq(got, base)
             reports.append(
-                CheckReport(
-                    "virtualization-bracket",
-                    inst,
-                    STATUS_PASS if ok else STATUS_FAIL,
-                    str(got.as_dict()),
-                    str(base.as_dict()),
-                    f"crossing {idx}",
-                )
+                _row("virtualization-bracket", inst, got == base, str(got.as_dict()),
+                     str(base.as_dict()), f"crossing {idx}")
             )
         try:
             c_base = conductance_from_bracket(base)
             c_kinked = conductance_from_bracket(kink_pos_triple)
-            ok = c_base == c_kinked
-            reports.append(
-                CheckReport(
-                    "conductance-kink-invariance",
-                    inst,
-                    STATUS_PASS if ok else STATUS_FAIL,
-                    str(c_kinked),
-                    str(c_base),
-                )
-            )
         except IndeterminateError as exc:
-            reports.append(
-                CheckReport(
-                    "conductance-kink-invariance",
-                    inst,
-                    STATUS_INDETERMINATE,
-                    notes=str(exc),
-                )
-            )
+            reports.append(CheckReport("conductance-kink-invariance", inst,
+                                       STATUS_INDETERMINATE, notes=str(exc)))
+        else:
+            reports.append(_row("conductance-kink-invariance", inst, c_base == c_kinked,
+                                str(c_kinked), str(c_base)))
     reports.append(_negative_control())
     return reports
 
@@ -423,21 +351,12 @@ def _negative_control() -> CheckReport:
     base = bracket_contract(d)
     kinked = bracket_contract(insert_kink(d, COMPASS[0], 1))
     corrupted = base.scaled(_KINK_FACTOR[-1])  # deliberately the wrong factor
-    if _triple_eq(kinked, corrupted):
-        return CheckReport(
-            "negative-control-kink",
-            "elementary(1, 0)",
-            STATUS_FAIL,
-            str(kinked.as_dict()),
-            str(corrupted.as_dict()),
-            "corrupted identity was not caught; harness is broken",
-        )
-    return CheckReport(
-        "negative-control-kink",
-        "elementary(1, 0)",
-        STATUS_PASS,
-        notes="deliberately corrupted kink factor mismatched as expected",
-    )
+    if kinked == corrupted:
+        return _row("negative-control-kink", "elementary(1, 0)", False, str(kinked.as_dict()),
+                    str(corrupted.as_dict()),
+                    "corrupted identity was not caught; harness is broken")
+    return _row("negative-control-kink", "elementary(1, 0)", True, "", "",
+                "deliberately corrupted kink factor mismatched as expected")
 
 
 def run_additivity_suite(seed: int = 0, count: int = 100):
@@ -461,30 +380,20 @@ def run_additivity_suite(seed: int = 0, count: int = 100):
         t = bracket_vector(vt)
         s = bracket_vector(vs)
         inst = f"{vt} (+) {vs}"
+        made += 1
         try:
             lhs, rhs, corr = additivity_identity(t, s, "plus")
         except IndeterminateError as exc:
             reports.append(
                 CheckReport("additivity-plus", inst, STATUS_INDETERMINATE, notes=str(exc))
             )
-            made += 1
             continue
         ok = lhs == rhs - corr
         notes = f"correction {corr}"
         if s.h.is_zero() or t.h.is_zero():
             ok = ok and corr == GaussRational(0, 0)
             notes += "; classical side, correction must vanish"
-        reports.append(
-            CheckReport(
-                "additivity-plus",
-                inst,
-                STATUS_PASS if ok else STATUS_FAIL,
-                str(lhs),
-                f"{rhs} - {corr}",
-                notes,
-            )
-        )
-        made += 1
+        reports.append(_row("additivity-plus", inst, ok, str(lhs), f"{rhs} - {corr}", notes))
     return reports
 
 
@@ -515,16 +424,8 @@ def run_ratio_suite(seed: int = 0, count: int = 100):
                 )
             )
             continue
-        reports.append(
-            CheckReport(
-                "ratio-identity",
-                inst,
-                STATUS_PASS if c == rhs else STATUS_FAIL,
-                str(c),
-                str(rhs),
-                f"C(T')={c_east}, C(T'')={c_south}",
-            )
-        )
+        reports.append(_row("ratio-identity", inst, c == rhs, str(c), str(rhs),
+                            f"C(T')={c_east}, C(T'')={c_south}"))
     return reports
 
 
@@ -538,18 +439,18 @@ def _figure_family_companion(v: TangleVector):
     return None
 
 
-def enumerate_classify(env: Envelope, sink=None):
+def enumerate_classify(env: Envelope):
     """Classify every vector in the envelope by exact conductance.
 
-    Records stream to sink as they are produced.  The summary lists value
-    collisions, real-valued vectors that carry virtual markers (with an
-    explanation where one exists: the virtual-cancellation family or a
-    classical vector in the same bucket), formula degeneracies recovered via
-    the state sum, and any remaining findings.  Infinity counts as a real
-    (classical) value.  Each value is the recursion's, read off one
-    prefix-shared walk of the envelope.  Where the recursion is degenerate,
-    the value is the state-sum route's: the vector's bracket folded through
-    the tangle algebra at A = zeta_8 (bracket_vector_at_zeta8).
+    The summary lists value collisions, real-valued vectors that carry
+    virtual markers (with an explanation where one exists: the
+    virtual-cancellation family or a classical vector in the same bucket),
+    formula degeneracies recovered via the state sum, and any remaining
+    findings.  Infinity counts as a real (classical) value.  Each value is
+    the recursion's, read off one prefix-shared walk of the envelope.  Where
+    the recursion is degenerate, the value is the state-sum route's: the
+    vector's bracket folded through the tangle algebra at A = zeta_8
+    (bracket_vector_at_zeta8).
     """
     records = []
     buckets = {}  # value -> (bucket id, value, is_real, member texts)
@@ -586,8 +487,6 @@ def enumerate_classify(env: Envelope, sink=None):
         if is_real:
             real.setdefault(bid, []).append(TangleVector(entries))
         records.append(rec)
-        if sink is not None:
-            sink(rec)
     values = list(buckets)
     for bid, vs in real.items():
         value = values[bid]

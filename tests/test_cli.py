@@ -185,13 +185,12 @@ def test_record_template_matches_json_dumps():
     }
     assert all(cases.values()), {k: len(v) for k, v in cases.items()}
     # No survey value has a negative imaginary part; the template still
-    # carries the sign that str(GaussRational) prints for one.
-    made_up = EnumerationRecord("-2v,1", GaussRational(-3, -1), False, 7, "recursion")
-    for rec in records + [made_up]:
-        want = json.dumps(rec.as_dict(), indent=2).replace("\n", "\n    ")
-        got = vtangle.cli._record_json(rec, json.dumps(str(rec.conductance)))
-        assert got == "    " + want
-    for recs in (records, []):
+    # carries the sign that str(GaussRational) prints for one.  The record
+    # needs a bucket of its own: a bucket's text is built once.
+    made_up = EnumerationRecord(
+        "-2v,1", GaussRational(-3, -1), False, summary["buckets"], "recursion"
+    )
+    for recs in (records + [made_up], []):
         doc = {"summary": summary, "records": [r.as_dict() for r in recs]}
         text = "".join(vtangle.cli._survey_json(summary, recs))
         assert text == json.dumps(doc, indent=2) + "\n"
@@ -273,19 +272,46 @@ def test_python_m_vtangle_matches_main(capsys):
     assert (proc.returncode, proc.stdout) == (code, out)
 
 
-def test_closed_stdout_exits_quietly():
+def _child_env(unbuffered: bool) -> dict:
+    """_src_env() with PYTHONUNBUFFERED set to 1 or removed."""
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_closed_stdout_exits_quietly(fmt, unbuffered):
     # The survey is far larger than a pipe's buffer, so the CLI is still
     # writing when the reader goes away.
     proc = subprocess.Popen(
-        [sys.executable, "-m", "vtangle", "enumerate", "--envelope", "3,3"],
+        [sys.executable, "-m", "vtangle", "enumerate", "--envelope", "3,5", "--format", fmt],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=_src_env(),
+        env=_child_env(unbuffered),
     )
-    assert proc.stdout.read(10) == b'{\n  "summa'
+    assert proc.stdout.read(10) == {"json": b'{\n  "summa', "csv": b"vector,C-r"}[fmt]
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (EXIT_CLOSED_STDOUT, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_write_error_is_reported_once():
+    # Buffered, the small document fails only at main's final flush.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "vtangle", "bracket", "2,3"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_child_env(unbuffered=False),
+            timeout=60,
+        )
+    assert proc.returncode == EXIT_COMPUTE
+    assert json.loads(proc.stderr) == {"error": "[Errno 28] No space left on device"}
 
 
 def test_import_loads_no_module_the_commands_do_not_need():
@@ -332,7 +358,6 @@ def test_conductance_computes_the_bracket_once(capsys, monkeypatch):
         return real(vec)
 
     monkeypatch.setattr(vtangle.cli, "bracket_vector", counting)
-    monkeypatch.setattr(vtangle.conductance, "bracket_vector", counting)
     for path in ((), ("--path", "state-sum")):
         calls.clear()
         code, _, _ = run_cli(capsys, "conductance", "2,3,1v", *path)

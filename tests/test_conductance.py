@@ -261,6 +261,21 @@ def test_error_types_are_tangle_errors():
     assert issubclass(UnsupportedPatternError, TangleError)
 
 
+@pytest.mark.parametrize("route", [conductance_recursive, continued_fraction_C, closed_form,
+                                   bracket_vector])
+@pytest.mark.parametrize(
+    "entries",
+    [((1, 2),), ((2, 0), (0, 0), (3, 0)), ((INF, 1),), (("2", 0),), (), ((1, 0), (INF, 0))],
+    ids=["marker-2", "interior-0", "marked-inf", "text-twist", "empty", "late-inf"],
+)
+def test_routes_refuse_vectors_that_validate_refuses(route, entries):
+    vec = TangleVector(entries)
+    with pytest.raises(VectorRuleError):
+        vec.validate()
+    with pytest.raises(VectorRuleError):
+        route(vec)
+
+
 def _outcome(fn, arg):
     """("ok", value) or ("error", text) of one call."""
     try:

@@ -208,13 +208,6 @@ def test_enumerate_recovers_degenerate_family():
     assert rec.provenance == "state-sum"
 
 
-def test_enumerate_streams_to_sink():
-    seen = []
-    records, _ = enumerate_classify(SMALL, sink=seen.append)
-    assert len(seen) == len(records)
-    assert seen[0] is records[0]
-
-
 def test_survey_records_are_plain_frozen_records():
     records, _ = enumerate_classify(SMALL)
     for rec in records[:50]:
