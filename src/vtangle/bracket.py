@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._value import Value, setters
-from .cyclotomic import eval_at_zeta8
+from .cyclotomic import ZETA, Cyc8
 from .diagram import (
     COMPASS,
     HORIZONTAL,
@@ -28,6 +28,7 @@ from .diagram import (
     TangleDiagram,
     fold_basic,
 )
+from .errors import NotGaussianError
 from .laurent import LOOP_FACTOR, ONE, ZERO, LaurentPoly
 from .vector import INF, TangleVector
 
@@ -513,28 +514,68 @@ def bracket_vector(vec: TangleVector) -> BracketTriple:
 
 
 @lru_cache(maxsize=None)
-def _elementary_at_zeta8(n: int, eps: int, axis: str) -> tuple:
-    """(f, g, h) of bracket_elementary(n, eps, axis) at A = zeta_8."""
+def _elementary_gaussian(n: int, eps: int, axis: str) -> tuple:
+    """(f, g, h) of bracket_elementary(n, eps, axis) times A^-|n| at A = zeta_8,
+    as (re, im) pairs of Gaussian integers.
+
+    Every exponent of the region's bracket is congruent to its |n| classical
+    crossings mod 2, so after the shift they are even and A^(2j) = i^j.  An
+    odd exponent leaves Z[i]: NotGaussianError, with the shifted polynomial's
+    zeta and zeta^3 coordinates.
+    """
     t = bracket_elementary(n, eps, axis)
-    return eval_at_zeta8(t.f), eval_at_zeta8(t.g), eval_at_zeta8(t.h)
+    k = abs(n)
+    out = []
+    for p in (t.f, t.g, t.h):
+        z = [0, 0, 0, 0]  # coordinates on 1, zeta, zeta^2 = i, zeta^3
+        for e, c in p.items():
+            e -= k
+            z[e & 3] += -c if e & 4 else c
+        if z[1] or z[3]:
+            raise NotGaussianError(z[1], z[3])
+        out.append((z[0], z[2]))
+    return tuple(out)
 
 
-def _combine_at_zeta8(t: tuple, s: tuple, op: str) -> tuple:
-    """combine_triples on (f, g, h) values at A = zeta_8.  The loop factor
-    -A^2 - A^-2 vanishes there, so its terms drop out and each combination
-    takes six products."""
-    tf, tg, th = t
-    sf, sg, sh = s
+def _combine_gaussian(t: tuple, s: tuple, op: str) -> tuple:
+    """combine_triples on _elementary_gaussian's (f, g, h) values.  The
+    shifts multiply, as the crossing counts add.  The loop factor
+    -A^2 - A^-2 vanishes at A = zeta_8, so its terms drop out and each
+    combination takes six Gaussian-integer products."""
+    (fa, fb), (ga, gb), (ha, hb) = t
+    (sfa, sfb), (sga, sgb), (sha, shb) = s
     if op == PLUS:
-        return tf * (sg + sh) + (tg + th) * sf, tg * sg + th * sh, tg * sh + th * sg
-    return tf * sf + th * sh, (tf + th) * sg + tg * (sf + sh), tf * sh + th * sf
+        # f = tf*(sg + sh) + (tg + th)*sf, g = tg*sg + th*sh, h = tg*sh + th*sg
+        ua, ub = sga + sha, sgb + shb
+        va, vb = ga + ha, gb + hb
+        return (
+            (fa * ua - fb * ub + va * sfa - vb * sfb, fa * ub + fb * ua + va * sfb + vb * sfa),
+            (ga * sga - gb * sgb + ha * sha - hb * shb, ga * sgb + gb * sga + ha * shb + hb * sha),
+            (ga * sha - gb * shb + ha * sga - hb * sgb, ga * shb + gb * sha + ha * sgb + hb * sga),
+        )
+    # f = tf*sf + th*sh, g = (tf + th)*sg + tg*(sf + sh), h = tf*sh + th*sf
+    ua, ub = fa + ha, fb + hb
+    va, vb = sfa + sha, sfb + shb
+    return (
+        (fa * sfa - fb * sfb + ha * sha - hb * shb, fa * sfb + fb * sfa + ha * shb + hb * sha),
+        (ua * sga - ub * sgb + ga * va - gb * vb, ua * sgb + ub * sga + ga * vb + gb * va),
+        (fa * sha - fb * shb + ha * sfa - hb * sfb, fa * shb + fb * sha + ha * sfb + hb * sfa),
+    )
+
+
+def _bracket_vector_gaussian(vec: TangleVector) -> tuple:
+    """(f, g, h) of bracket_vector(vec) times A^-N at A = zeta_8, where N is
+    the classical crossing count, as (re, im) pairs of Gaussian integers.
+    The fold runs in Z[i] from the start, so no polynomial is built."""
+    return fold_basic(vec, _elementary_gaussian, _combine_gaussian)
 
 
 def bracket_vector_at_zeta8(vec: TangleVector) -> tuple:
     """(f, g, h) of bracket_vector(vec) evaluated at A = zeta_8, as Cyc8
-    values.  The fold runs in Q(zeta_8) from the start, so no polynomial is
-    built and the values stay the size of the conductance's."""
-    return fold_basic(vec, _elementary_at_zeta8, _combine_at_zeta8)
+    values: zeta^N times _bracket_vector_gaussian(vec)."""
+    triple = _bracket_vector_gaussian(vec)  # validates vec
+    unit = ZETA ** sum(abs(a) for a, _ in vec.entries if a is not INF)
+    return tuple(unit * Cyc8(a, 0, b) for a, b in triple)  # a + b*zeta^2
 
 
 TRIPLE_H = BracketTriple(ZERO, ONE, ZERO)  # trivial horizontal tangle

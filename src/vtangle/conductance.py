@@ -14,11 +14,11 @@ from collections.abc import Callable
 from ._value import Value, setters
 from .bracket import (
     BracketTriple,
+    _bracket_vector_gaussian,
     bracket_contract,
-    bracket_vector_at_zeta8,
     combine_triples,
 )
-from .cyclotomic import C_I, Cyc8, eval_at_zeta8
+from .cyclotomic import C_I, eval_at_zeta8
 from .diagram import HORIZONTAL, PLUS, STAR, TangleDiagram, combine, elementary
 from .errors import (
     DivisorZeroError,
@@ -50,28 +50,35 @@ class ConductanceValue(Value):
 _SET_VALUE, _SET_PROVENANCE = setters(ConductanceValue)
 
 
+_ZERO_OVER_ZERO = "both bracket combinations vanish at A = zeta_8 (0/0)"
+
+
 def conductance_from_bracket(t: BracketTriple) -> GaussRational:
     """i * (f+h)/(g+h) at A = zeta_8; infinite when only the denominator
     vanishes, indeterminate when both do, loud when outside Q(i)."""
-    return _conductance_at_zeta8(eval_at_zeta8(t.f + t.h), eval_at_zeta8(t.g + t.h))
+    num = eval_at_zeta8(t.f + t.h)
+    den = eval_at_zeta8(t.g + t.h)
+    if den.is_zero():
+        if num.is_zero():
+            raise IndeterminateError(_ZERO_OVER_ZERO)
+        return INFINITY
+    return (C_I * num / den).to_gauss()
 
 
 def _conductance_folded(vec: TangleVector) -> GaussRational:
     """conductance_from_bracket(bracket_vector(vec)), from the bracket's
-    values at A = zeta_8 folded without polynomials."""
-    f, g, h = bracket_vector_at_zeta8(vec)
-    return _conductance_at_zeta8(f + h, g + h)
-
-
-def _conductance_at_zeta8(num: Cyc8, den: Cyc8) -> GaussRational:
-    """i * num/den for the values of f+h and g+h at A = zeta_8."""
-    if den.is_zero():
-        if num.is_zero():
-            raise IndeterminateError(
-                "both bracket combinations vanish at A = zeta_8 (0/0)"
-            )
-        return INFINITY
-    return (C_I * num / den).to_gauss()
+    values folded in Z[i] without polynomials.  The common factor zeta^N of
+    f+h and g+h cancels, so C = i * n * conj(d) / |d|^2 for n = f+h and
+    d = g+h, reduced once."""
+    (fa, fb), (ga, gb), (ha, hb) = _bracket_vector_gaussian(vec)
+    na, nb = fa + ha, fb + hb
+    da, db = ga + ha, gb + hb
+    norm = da * da + db * db
+    if not norm:
+        if na or nb:
+            return INFINITY
+        raise IndeterminateError(_ZERO_OVER_ZERO)
+    return GaussRational.from_ints(na * db - nb * da, na * da + nb * db, norm)
 
 
 def _gr(a) -> GaussRational:
@@ -83,18 +90,25 @@ def _gr(a) -> GaussRational:
 def classical_fraction(entries, first_is_horizontal: bool = True) -> GaussRational:
     """Projective continued fraction of a marker-free vector.
 
-    entries are plain integers, optionally INF first; vertical-first input
+    entries are plain integers, optionally INF first (anything else is a
+    VectorRuleError, as in TangleVector.validate); vertical-first input
     is normalized by an INF prefix; an even length folds one extra
     reciprocal, matching the trailing trivial entry of the odd normal form.
     """
     entries = list(entries)
-    if not first_is_horizontal:
-        entries = [INF] + entries
     if not entries:
         raise VectorRuleError("a tangle vector needs at least one entry", 1)
     for i, a in enumerate(entries):
-        if a is INF and i > 0:
-            raise VectorRuleError("inf is allowed only as the first entry", i + 1)
+        if a is INF:
+            if i > 0 or not first_is_horizontal:
+                raise VectorRuleError(
+                    "inf is allowed only as the first entry of a horizontal-first vector",
+                    i + 1,
+                )
+        elif not isinstance(a, int):
+            raise VectorRuleError("twist count must be an integer or inf", i + 1)
+    if not first_is_horizontal:
+        entries = [INF] + entries
     v = _gr(entries[0])
     for a in entries[1:]:
         v = _gr(a) + v.invert()

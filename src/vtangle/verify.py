@@ -7,8 +7,6 @@ passes.  All sampling is seeded and all iteration orders are deterministic.
 
 from __future__ import annotations
 
-import random
-
 from ._value import Value, setters
 from .bracket import bracket_contract, bracket_vector
 from .conductance import (
@@ -301,6 +299,8 @@ _KINK_FACTOR = {
 def run_invariance_suite(seed: int = 0, count: int = 100):
     """Flype, kink-factor, virtualization, and conductance-invariance checks
     on seeded diagrams, closed by a deliberately corrupted negative control."""
+    import random
+
     reports = []
     for i, d in enumerate(sample_diagrams(random.Random(seed), count)):
         inst = f"diagram[{i}]: {d.n_nodes} nodes, {d.n_classical} classical"
@@ -366,6 +366,8 @@ def run_additivity_suite(seed: int = 0, count: int = 100):
     conductances); whenever one side has no virtual coefficient the
     correction must vanish exactly.
     """
+    import random
+
     rng = random.Random(seed)
     reports = []
     made = 0
@@ -399,6 +401,8 @@ def run_additivity_suite(seed: int = 0, count: int = 100):
 
 def run_ratio_suite(seed: int = 0, count: int = 100):
     """C(T) = -i * C(T') * C(T'') on seeded diagrams, projectively."""
+    import random
+
     rng = random.Random(seed)
     diagrams = sample_diagrams(rng, count, 8)
     reports = []
@@ -429,9 +433,9 @@ def run_ratio_suite(seed: int = 0, count: int = 100):
     return reports
 
 
-def _figure_family_companion(v: TangleVector):
-    """For (a^1, 0^1, c^1) return the classical companion (inf, -a, c)."""
-    e = v.entries
+def _figure_family_companion(e: tuple):
+    """For the entries (a^1, 0^1, c^1) return the classical companion
+    (inf, -a, c)."""
     if len(e) == 3 and e[0][1] == 1 and e[1] == (0, 1) and e[2][1] == 1:
         a = e[0][0]
         if a is not INF and a != 0:
@@ -449,53 +453,67 @@ def enumerate_classify(env: Envelope):
     findings.  Infinity counts as a real (classical) value.  Each value is
     the recursion's, read off one prefix-shared walk of the envelope.  Where
     the recursion is degenerate, the value is the state-sum route's: the
-    vector's bracket folded through the tangle algebra at A = zeta_8
-    (bracket_vector_at_zeta8).
+    vector's bracket folded through the tangle algebra in Z[i]
+    (_conductance_folded).  Each bucket's value is formatted at most once.
     """
     records = []
-    buckets = {}  # value -> (bucket id, value, is_real, member texts)
-    real = {}
+    # The canonical triple of each value, which equal values share, keys its
+    # bucket: a tuple hashes and compares without GaussRational's methods.
+    buckets = {}  # value._v -> (bucket id, value, is_real, member texts)
+    value_texts = []  # bucket id -> str of its value, built on first use
+    real = {}  # bucket id -> (text, entries, classical) of its real vectors
     real_virtual = []
     degenerate = []
     findings = []
+
+    def value_text(bid, value):
+        out = value_texts[bid]
+        if out is None:
+            out = value_texts[bid] = str(value)
+        return out
+
     for entries, text, value, exc in _track_walk(env):
         provenance = PATH_RECURSION
         if exc is not None:
             try:
                 value = _conductance_folded(TangleVector(entries))
-                provenance = PATH_STATE_SUM
-                degenerate.append(
-                    {
-                        "vector": text,
-                        "error": str(exc),
-                        "conductance": str(value),
-                        "provenance": PATH_STATE_SUM,
-                    }
-                )
             except TangleError as exc2:
                 findings.append(
                     {"vector": text, "kind": "no-value", "error": f"{exc}; {exc2}"}
                 )
                 continue
-        bucket = buckets.get(value)
+            provenance = PATH_STATE_SUM
+        bucket = buckets.get(value._v)
         if bucket is None:
-            bucket = buckets[value] = (len(buckets), value, value.is_real, [])
+            bucket = buckets[value._v] = (len(buckets), value, value.is_real, [])
+            value_texts.append(None)
         # one value object per bucket, shared by its records
         bid, value, is_real, texts = bucket
+        if exc is not None:
+            degenerate.append(
+                {
+                    "vector": text,
+                    "error": str(exc),
+                    "conductance": value_text(bid, value),
+                    "provenance": PATH_STATE_SUM,
+                }
+            )
         rec = _record(text, value, is_real, bid, provenance)
         texts.append(text)
         if is_real:
-            real.setdefault(bid, []).append(TangleVector(entries))
+            # a marker-free vector's text has no "v"
+            real.setdefault(bid, []).append((text, entries, "v" not in text))
         records.append(rec)
-    values = list(buckets)
-    for bid, vs in real.items():
+    values = [value for _, value, _, _ in buckets.values()]
+    for bid, members in real.items():
         value = values[bid]
-        classical_match = next((str(v) for v in vs if v.classical), None)
-        for v in vs:
-            if v.classical:
+        conductance = value_text(bid, value)
+        classical_match = next((text for text, _, classical in members if classical), None)
+        for text, entries, classical in members:
+            if classical:
                 continue
-            entry = {"vector": str(v), "conductance": str(value)}
-            companion = _figure_family_companion(v)
+            entry = {"vector": text, "conductance": conductance}
+            companion = _figure_family_companion(entries)
             if companion is not None and conductance_recursive(companion) == value:
                 entry["explanation"] = (
                     f"virtual-cancellation family: equals C({companion})"
@@ -508,15 +526,15 @@ def enumerate_classify(env: Envelope):
                 entry["explanation"] = ""
                 findings.append(
                     {
-                        "vector": str(v),
+                        "vector": text,
                         "kind": "unexplained-real-virtual",
-                        "conductance": str(value),
+                        "conductance": conductance,
                     }
                 )
             real_virtual.append(entry)
     collisions = [
-        {"conductance": str(value), "vectors": texts}
-        for _, value, _, texts in buckets.values()
+        {"conductance": value_text(bid, value), "vectors": texts}
+        for bid, value, _, texts in buckets.values()
         if len(texts) > 1
     ]
     collisions.sort(key=lambda c: c["conductance"])

@@ -1,5 +1,7 @@
 """Conductance routes: state sum, recursion, continued fraction, closed forms."""
 
+import random
+import sys
 import time
 from fractions import Fraction
 
@@ -27,16 +29,25 @@ from vtangle.conductance import (
     ratio_identity,
 )
 from vtangle.cyclotomic import eval_at_zeta8
-from vtangle.diagram import build_basic
+from vtangle.diagram import (
+    COMPASS,
+    add_free_loop,
+    build_basic,
+    insert_kink,
+    virtualize_crossing,
+)
 from vtangle.errors import (
     DivisorZeroError,
     IndeterminateError,
+    NotGaussianError,
     TangleError,
     UnsupportedPatternError,
     VectorRuleError,
 )
 from vtangle.gaussian import G_I, INFINITY, GaussRational
+from vtangle.laurent import LaurentPoly
 from vtangle.vector import INF, TangleVector, parse_vector
+from vtangle.verify import sample_diagrams
 
 
 def _state_sum(s: str) -> GaussRational:
@@ -101,6 +112,27 @@ def test_classical_fraction():
     assert classical_fraction([1, 1, -1]) == GaussRational(Fraction(-1, 2), 0)
     # a projective infinity midway recovers at the next level
     assert classical_fraction([0, 3, 2]) == GaussRational(2, 0)
+
+
+@pytest.mark.parametrize(
+    "entries, first_is_horizontal",
+    [([1.5, 2], True), (["2"], True), ([2, 1.5], False), ([], True), ([], False),
+     ([2, INF], True), ([2, INF], False), ([INF, 2], False)],
+)
+def test_classical_fraction_refuses_what_validate_refuses(entries, first_is_horizontal):
+    # the same message and position as TangleVector.validate, in the
+    # caller's numbering, before a vertical-first vector gains its prefix
+    vec = TangleVector(tuple((a, 0) for a in entries), first_is_horizontal)
+    with pytest.raises(VectorRuleError) as want:
+        vec.validate()
+    with pytest.raises(VectorRuleError) as got:
+        classical_fraction(entries, first_is_horizontal)
+    assert str(got.value) == str(want.value)
+
+
+def test_classical_route_refuses_a_float_twist_count():
+    with pytest.raises(VectorRuleError, match="entry 1: twist count must be an integer"):
+        ROUTES[PATH_CLASSICAL].run(TangleVector(((1.5, 0),)), None)
 
 
 def test_recursion_matches_fraction_on_classical():
@@ -322,3 +354,46 @@ def test_state_sum_route_folds_values_without_a_triple():
     assert not errors
     assert list(values) == [PATH_STATE_SUM, PATH_RECURSION, PATH_FRACTION]
     assert len({cv.value for cv in values.values()}) == 1
+
+
+def _exponent_parities(d):
+    """The set of (exponent - classical crossings) mod 2 over f, g and h of
+    the oracle bracket(d)."""
+    t = bracket(d)
+    return {(e - d.n_classical) % 2 for p in (t.f, t.g, t.h) for e, _ in p.items()}
+
+
+def test_bracket_exponents_have_the_parity_of_the_classical_crossing_count():
+    # the lemma the Z[i] fold rests on: each smoothing weighs A^(+-1) and a
+    # loop -A^(+-2), so every exponent is congruent to N mod 2
+    rng = random.Random(13)
+    for d in sample_diagrams(rng, 40, 8):
+        variants = [d, add_free_loop(d), add_free_loop(add_free_loop(d))]
+        for sign in (1, -1):
+            kinked = insert_kink(d, rng.choice(COMPASS), sign)
+            variants += [kinked, add_free_loop(kinked)]
+        if d.classical_indices:
+            variants.append(virtualize_crossing(d, rng.choice(d.classical_indices)))
+        for v in variants:
+            assert _exponent_parities(v) == {0}
+
+
+def test_a_wrong_parity_leaf_raises_not_gaussian(monkeypatch):
+    module = sys.modules["vtangle.bracket"]
+    elementary = module.bracket_elementary
+    # one extra factor A in every twist region breaks the parity lemma
+    monkeypatch.setattr(
+        module,
+        "bracket_elementary",
+        lambda n, eps, axis: elementary(n, eps, axis).scaled(LaurentPoly.monomial(1)),
+    )
+    module._elementary_gaussian.cache_clear()
+    try:
+        v = TangleVector(((2, 1), (-3, 0)))
+        with pytest.raises(NotGaussianError) as exc:
+            _conductance_folded(v)
+        assert (exc.value.c1, exc.value.c3) != (0, 0)
+        _, errors = conductance_paths(v)
+        assert isinstance(errors[PATH_STATE_SUM], NotGaussianError)
+    finally:
+        module._elementary_gaussian.cache_clear()
